@@ -14,6 +14,17 @@ module Metrics = Tl_obs.Metrics
    query parsing and the by-name validation below need. *)
 type labels = Doc of Data_tree.t | Names of Interner.t
 
+module Text_lru = Tl_util.Lru.Make (struct
+  type t = string
+
+  let equal = String.equal
+
+  let hash = Hashtbl.hash
+end)
+
+(* Query text -> parse result, one per bundle (see [parse_query]). *)
+type parse_cache = { pc_mutex : Mutex.t; pc_lru : (Twig.t * (float -> float)) Text_lru.t }
+
 type bundle = {
   b_name : string;
   b_epoch : int;
@@ -23,6 +34,7 @@ type bundle = {
   b_adaptive : Adaptive.t option;
   b_audit : Audit.t;
   b_monitor : Monitor.t option;
+  b_parsed : parse_cache;
 }
 
 (* Where a dataset came from, for [reload]. *)
@@ -69,8 +81,12 @@ let create ?(config = default_config) () =
   Metrics.describe "registry.reloads_total" "Successful dataset swaps/reloads";
   Metrics.describe "registry.reload_failures_total" "Failed dataset loads or validations";
   Metrics.describe "registry.alarm" "Latching reload-failure alarm (1 = a reload has failed)";
+  Metrics.describe "registry.parse_cache_hits" "Query lines answered from a bundle's parse cache";
+  Metrics.describe "registry.parse_cache_misses" "Query lines parsed (and, when valid, cached)";
   Metrics.set_gauge "registry.datasets" 0;
   Metrics.set_gauge "registry.alarm" 0;
+  Metrics.add "registry.parse_cache_hits" 0;
+  Metrics.add "registry.parse_cache_misses" 0;
   {
     cfg = config;
     mutex = Mutex.create ();
@@ -122,6 +138,10 @@ let validate_labels ~labels summary =
          !bad space)
   else Ok ()
 
+(* The label of every tag a query names but the dataset lacks.  No node
+   and no summary entry carries it, so any twig over it has selectivity 0. *)
+let absent_label = -1
+
 let make_monitor cfg ~labels ~adaptive =
   if cfg.sample_rate <= 0.0 then None
   else
@@ -131,11 +151,18 @@ let make_monitor cfg ~labels ~adaptive =
     match cfg.drift_tree with
     | Some drift_tree ->
       (* Twig labels are interned per document: remap by tag name into the
-         drift document before counting there (a tag it lacks interns
-         fresh and counts zero — the right answer). *)
+         drift document before counting there.  A tag it lacks — or the
+         query-side [absent_label] — maps to [absent_label], which no node
+         carries, so the twig counts zero (the right answer) without
+         writing to the drift document's interner. *)
       let count = Monitor.oracle_of_tree drift_tree in
       monitor (fun key ->
-          let remap l = Data_tree.intern_label drift_tree (name_of_label labels l) in
+          let remap l =
+            if l = absent_label then l
+            else
+              Option.value ~default:absent_label
+                (Data_tree.label_of_string drift_tree (name_of_label labels l))
+          in
           let twig = Twig.canonicalize (Twig.map_labels remap (Twig.Key.twig key)) in
           count (Twig.key twig))
     | None -> (
@@ -151,6 +178,9 @@ let build_bundle t ~name ~epoch ~labels summary =
   | Ok () ->
     let cfg = t.cfg in
     let engine = Engine.create ~scheme:cfg.scheme ?plan_capacity:cfg.plan_capacity ~epoch summary in
+    let parsed =
+      { pc_mutex = Mutex.create (); pc_lru = Text_lru.create ~capacity:(Engine.stats engine).capacity }
+    in
     let adaptive =
       match labels with
       | Doc tree ->
@@ -167,6 +197,7 @@ let build_bundle t ~name ~epoch ~labels summary =
         b_adaptive = adaptive;
         b_audit = Audit.create ?capacity:cfg.audit_capacity ();
         b_monitor = make_monitor cfg ~labels ~adaptive;
+        b_parsed = parsed;
       }
 
 (* --- install / swap ------------------------------------------------------ *)
@@ -326,10 +357,8 @@ let label_names b =
 
 (* --- query parsing ------------------------------------------------------- *)
 
-let intern_of b =
-  match b.b_labels with
-  | Doc tree -> fun tag -> Some (Data_tree.intern_label tree tag)
-  | Names i -> fun tag -> Some (Interner.intern i tag)
+let find_label b =
+  match b.b_labels with Doc tree -> Data_tree.label_of_string tree | Names i -> Interner.find i
 
 (* Anchored-XPath scaling, as [Treelattice.estimate_xpath]: only matches
    rooted at THE document root count, assuming matches spread uniformly
@@ -350,18 +379,36 @@ let anchored_scale b (twig : Twig.t) estimate =
     in
     estimate /. float_of_int (max 1 occurrences)
 
-let parse_query b line =
-  let intern = intern_of b in
+(* Every line naming a tag the dataset lacks parses to this one twig: no
+   match can exist, so the estimate is exactly 0 whatever the shape, and
+   all such lines share one key and one plan. *)
+let absent_twig = Twig.leaf absent_label
+
+(* Tags resolve by lookup only, so parsing never writes to the label space
+   that concurrent connections share. *)
+let parse_uncached b line =
+  let find = find_label b in
+  let absent = ref false in
+  let intern tag =
+    match find tag with
+    | Some _ as l -> l
+    | None ->
+      absent := true;
+      Some absent_label
+  in
+  let resolved twig transform = if !absent then (absent_twig, Fun.id) else (twig, transform) in
   let from_twig () =
-    Result.map (fun twig -> (twig, fun e -> e)) (Tl_twig.Twig_parse.parse_twig ~intern line)
+    absent := false;
+    Result.map (fun twig -> resolved twig Fun.id) (Tl_twig.Twig_parse.parse_twig ~intern line)
   in
   let from_xpath () =
+    absent := false;
     match Tl_twig.Xpath.parse line with
     | Error _ as e -> e
     | Ok xp ->
       Result.map
         (fun twig ->
-          (twig, if xp.Tl_twig.Xpath.anchored then anchored_scale b twig else fun e -> e))
+          resolved twig (if xp.Tl_twig.Xpath.anchored then anchored_scale b twig else Fun.id))
         (Tl_twig.Xpath.to_twig ~intern xp)
   in
   let first, second =
@@ -373,6 +420,41 @@ let parse_query b line =
   match first () with
   | Ok parsed -> Ok parsed
   | Error msg -> ( match second () with Ok parsed -> Ok parsed | Error _ -> Error msg)
+
+(* Longest line the parse cache keeps.  Query lines are short; a longer
+   one (padding, say) is parsed uncached, so the cache holds at most
+   capacity x this many bytes of text per bundle. *)
+let max_cached_line = 512
+
+(* The parse cache is the plan cache one layer up: it lives and dies with
+   its bundle, so a swap starts empty and needs no invalidation.  Errors
+   are not cached; a malformed line re-parses to the same diagnosis. *)
+let parse_query b line =
+  let pc = b.b_parsed in
+  let cacheable = String.length line <= max_cached_line in
+  let cached =
+    if cacheable then begin
+      Mutex.lock pc.pc_mutex;
+      let found = Text_lru.find pc.pc_lru line in
+      Mutex.unlock pc.pc_mutex;
+      found
+    end
+    else None
+  in
+  match cached with
+  | Some parsed ->
+    Metrics.incr "registry.parse_cache_hits";
+    Ok parsed
+  | None ->
+    Metrics.incr "registry.parse_cache_misses";
+    let result = parse_uncached b line in
+    (match result with
+    | Ok parsed when cacheable ->
+      Mutex.lock pc.pc_mutex;
+      Text_lru.add pc.pc_lru line parsed;
+      Mutex.unlock pc.pc_mutex
+    | _ -> ());
+    result
 
 (* --- serving ------------------------------------------------------------- *)
 

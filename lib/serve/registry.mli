@@ -157,12 +157,21 @@ val label_names : bundle -> string array
 
 val parse_query : bundle -> string -> (Tl_twig.Twig.t * (float -> float), string) result
 (** One query line in twig or XPath syntax, parsed against the bundle's
-    label space; unknown tags intern fresh (selectivity 0), syntax errors
-    are diagnosed with the parser the line looks written for.  The
-    returned transform applies anchored-XPath scaling: against a document
-    it mirrors {!Tl_core.Treelattice.estimate_xpath} exactly; a
-    summary-only bundle scales by the root tag's own level-1 occurrence
-    count instead (the document shape is unavailable). *)
+    label space; syntax errors are diagnosed with the parser the line
+    looks written for.  Tags resolve by lookup only: a line naming a tag
+    the dataset lacks parses to one shared twig whose estimate is exactly
+    0, and nothing is interned.  The returned transform applies
+    anchored-XPath scaling: against a document it mirrors
+    {!Tl_core.Treelattice.estimate_xpath} exactly; a summary-only bundle
+    scales by the root tag's own level-1 occurrence count instead (the
+    document shape is unavailable).
+
+    Valid lines of up to 512 bytes are cached per bundle, keyed by their
+    exact text, in a mutex-guarded LRU as large as the bundle's plan
+    cache, counted under [registry.parse_cache_hits] /
+    [registry.parse_cache_misses] (a longer line is parsed uncached and
+    counts as a miss).  The cache is born empty with its bundle, so a
+    swap never serves a stale transform. *)
 
 val batch : ?pool:Tl_util.Pool.t -> bundle -> Tl_twig.Twig.t array -> float array
 (** {!Engine.batch} through the bundle's full serving stack: adaptive

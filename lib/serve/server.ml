@@ -98,14 +98,9 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-(* One answered query line.  The estimate prints as %.17g so a client
-   reading it back gets the bit-exact float the engine computed. *)
-let render_ok ~json buf ~estimate ~epoch ~dataset ~scheme =
-  if json then
-    Buffer.add_string buf
-      (Printf.sprintf "{\"estimate\":%.17g,\"epoch\":%d,\"dataset\":\"%s\",\"scheme\":\"%s\"}\n"
-         estimate epoch (json_escape dataset) (json_escape scheme))
-  else Buffer.add_string buf (Printf.sprintf "%.17g\t%d\t%s\t%s\n" estimate epoch dataset scheme)
+(* [Printf.sprintf "%.17g"] without the format interpreter: the same
+   runtime primitive, so the text is byte-identical. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let render_error ~json buf msg =
   if json then Buffer.add_string buf (Printf.sprintf "{\"error\":\"%s\"}\n" (json_escape msg))
@@ -129,6 +124,28 @@ let route t line =
     (Some (String.sub line 0 i), String.trim (String.sub line (i + 1) (String.length line - i - 1)))
   | _ -> (default_name t, line)
 
+(* The bundle a routed group was served from, with its text-mode answer
+   suffix formatted once per group rather than once per line. *)
+type served = { epoch : int; dataset : string; scheme : string; suffix : string }
+
+let served ~epoch ~dataset ~scheme =
+  { epoch; dataset; scheme; suffix = Printf.sprintf "\t%d\t%s\t%s\n" epoch dataset scheme }
+
+(* One answered query line.  The estimate prints as %.17g so a client
+   reading it back gets the bit-exact float the engine computed; a text
+   answer is that estimate followed by its group's suffix. *)
+let render_ok ~json buf estimate s =
+  if json then
+    Buffer.add_string buf
+      (Printf.sprintf "{\"estimate\":%.17g,\"epoch\":%d,\"dataset\":\"%s\",\"scheme\":\"%s\"}\n"
+         estimate s.epoch (json_escape s.dataset) (json_escape s.scheme))
+  else begin
+    Buffer.add_string buf (format_float "%.17g" estimate);
+    Buffer.add_string buf s.suffix
+  end
+
+type answer = Estimate of float * served | Failed of string
+
 (* Serve one flushed batch: group lines by routed dataset, pin each
    group's bundle for the whole flush (a concurrent reload lands between
    flushes, never inside one — every response line carries the epoch it
@@ -140,11 +157,11 @@ let serve_batch t lines =
   let n = Array.length lines in
   let groups : (string, (int * string) list ref) Hashtbl.t = Hashtbl.create 4 in
   let group_order = ref [] in
-  let errors = Array.make n None in
+  let answers = Array.make n (Failed "internal: unanswered line") in
   Array.iteri
     (fun idx line ->
       match route t line with
-      | None, _ -> errors.(idx) <- Some "no dataset installed"
+      | None, _ -> answers.(idx) <- Failed "no dataset installed"
       | Some ds, query -> (
         match Hashtbl.find_opt groups ds with
         | Some cell -> cell := (idx, query) :: !cell
@@ -152,16 +169,15 @@ let serve_batch t lines =
           Hashtbl.replace groups ds (ref [ (idx, query) ]);
           group_order := ds :: !group_order))
     lines;
-  let buf = Buffer.create (64 * (n + 1)) in
-  let oks : (int * (float * int * string * string)) list ref = ref [] in
   List.iter
     (fun ds ->
       let members = List.rev !(Hashtbl.find groups ds) in
       match Registry.find t.registry ds with
-      | None -> List.iter (fun (idx, _) -> errors.(idx) <- Some ("unknown dataset " ^ ds)) members
+      | None -> List.iter (fun (idx, _) -> answers.(idx) <- Failed ("unknown dataset " ^ ds)) members
       | Some bundle ->
         let epoch = Registry.epoch bundle in
         let scheme = Estimator.scheme_name (Engine.scheme (Registry.engine bundle)) in
+        let served = served ~epoch ~dataset:ds ~scheme in
         let parsed =
           Array.of_list
             (List.filter_map
@@ -169,7 +185,7 @@ let serve_batch t lines =
                  match Registry.parse_query bundle query with
                  | Ok p -> Some (idx, p)
                  | Error msg ->
-                   errors.(idx) <- Some msg;
+                   answers.(idx) <- Failed msg;
                    None)
                members)
         in
@@ -179,22 +195,19 @@ let serve_batch t lines =
           in
           Array.iteri
             (fun i (idx, (_, transform)) ->
-              oks := (idx, (transform estimates.(i), epoch, ds, scheme)) :: !oks)
+              answers.(idx) <- Estimate (transform estimates.(i), served))
             parsed
         end)
     (List.rev !group_order);
-  let ok_of = Array.make n None in
-  List.iter (fun (idx, r) -> ok_of.(idx) <- Some r) !oks;
-  for idx = 0 to n - 1 do
-    match ok_of.(idx) with
-    | Some (estimate, epoch, dataset, scheme) ->
-      render_ok ~json:t.config.json buf ~estimate ~epoch ~dataset ~scheme
-    | None ->
-      render_error ~json:t.config.json buf
-        (Option.value errors.(idx) ~default:"internal: unanswered line")
-  done;
+  let json = t.config.json in
+  let buf = Buffer.create (64 * (n + 1)) in
+  Array.iter
+    (function
+      | Estimate (estimate, s) -> render_ok ~json buf estimate s
+      | Failed msg -> render_error ~json buf msg)
+    answers;
   Buffer.add_char buf '\n';
-  Atomic.set t.n_queries (Atomic.get t.n_queries + n);
+  ignore (Atomic.fetch_and_add t.n_queries n);
   Metrics.add "server.queries" n;
   ignore (Atomic.fetch_and_add t.n_batches 1);
   Metrics.incr "server.batches";
@@ -205,7 +218,52 @@ let serve_batch t lines =
 
 type read_result = Line of string | Eof | Abort | Deadline
 
-type conn = { fd : Unix.file_descr; mutable rbuf : string; chunk : Bytes.t }
+(* One growable receive buffer per connection.  Bytes [pos, len) are
+   received but not yet framed, and [pos, scanned) of them are known to
+   hold no newline, so each byte is searched once and a line is copied
+   once, however long the buffered tail. *)
+type conn = {
+  fd : Unix.file_descr;
+  mutable buf : Bytes.t;
+  mutable pos : int;
+  mutable scanned : int;
+  mutable len : int;
+}
+
+let read_size = 4096
+
+let rec index_newline buf i stop =
+  if i >= stop then -1 else if Bytes.get buf i = '\n' then i else index_newline buf (i + 1) stop
+
+(* Cut [pos, stop) as a line and consume through [next]. *)
+let take_line conn ~stop ~next =
+  let line = Bytes.sub_string conn.buf conn.pos (stop - conn.pos) in
+  conn.pos <- next;
+  conn.scanned <- next;
+  Line (String.trim line)
+
+let initial_size = 2 * read_size
+
+(* Make room for one read: move the unframed tail to the front (once per
+   read, not per line), double the buffer while a long line leaves less
+   than [read_size] free, and give the memory back once such a line has
+   been framed and the tail is short again. *)
+let compact conn =
+  let live = conn.len - conn.pos in
+  let size =
+    if Bytes.length conn.buf - live < read_size then 2 * Bytes.length conn.buf
+    else if Bytes.length conn.buf > 4 * read_size && live < read_size then initial_size
+    else Bytes.length conn.buf
+  in
+  if size <> Bytes.length conn.buf then begin
+    let fresh = Bytes.create size in
+    Bytes.blit conn.buf conn.pos fresh 0 live;
+    conn.buf <- fresh
+  end
+  else if conn.pos > 0 then Bytes.blit conn.buf conn.pos conn.buf 0 live;
+  conn.scanned <- conn.scanned - conn.pos;
+  conn.pos <- 0;
+  conn.len <- live
 
 let deadline_exceeded t = function
   | None -> false
@@ -219,23 +277,17 @@ let deadline_exceeded t = function
 let rec next_line t conn ~batch_start =
   if deadline_exceeded t batch_start then Deadline
   else
-    match String.index_opt conn.rbuf '\n' with
-    | Some i ->
-      let line = String.sub conn.rbuf 0 i in
-      conn.rbuf <- String.sub conn.rbuf (i + 1) (String.length conn.rbuf - i - 1);
-      Line (String.trim line)
-    | None -> (
-      match Unix.read conn.fd conn.chunk 0 (Bytes.length conn.chunk) with
+    match index_newline conn.buf conn.scanned conn.len with
+    | i when i >= 0 -> take_line conn ~stop:i ~next:(i + 1)
+    | _ -> (
+      conn.scanned <- conn.len;
+      compact conn;
+      match Unix.read conn.fd conn.buf conn.len (Bytes.length conn.buf - conn.len) with
       | 0 ->
-        if conn.rbuf = "" then Eof
-        else begin
-          (* Final line without a trailing newline still counts. *)
-          let line = String.trim conn.rbuf in
-          conn.rbuf <- "";
-          Line line
-        end
+        (* Final line without a trailing newline still counts. *)
+        if conn.pos = conn.len then Eof else take_line conn ~stop:conn.len ~next:conn.len
       | n ->
-        conn.rbuf <- conn.rbuf ^ Bytes.sub_string conn.chunk 0 n;
+        conn.len <- conn.len + n;
         next_line t conn ~batch_start
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> next_line t conn ~batch_start
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -244,7 +296,7 @@ let rec next_line t conn ~batch_start =
       | exception Unix.Unix_error _ -> Abort)
 
 let serve_conn t fd =
-  let conn = { fd; rbuf = ""; chunk = Bytes.create 4096 } in
+  let conn = { fd; buf = Bytes.create initial_size; pos = 0; scanned = 0; len = 0 } in
   let pending = ref [] in
   let batch_start = ref None in
   let flush_pending () =

@@ -223,10 +223,11 @@ let test_summary_only_dataset () =
   Array.iteri
     (fun i r -> check_bits (Printf.sprintf "summary-only query %d" i) expected.(i) r)
     (Registry.batch b twigs);
-  (* Unknown tags intern fresh and estimate 0 — the negative-workload
-     contract, same as the document-backed path. *)
+  (* Unknown tags estimate exactly 0 — the negative-workload contract,
+     same as the document-backed path — and intern nothing. *)
   let ghost, _ = parse "ghost(phantom)" in
   check_bits "unknown tag" 0.0 (Registry.batch b [| ghost |]).(0);
+  Alcotest.(check (array string)) "unknown tag not interned" names (Registry.label_names b);
   (* Anchored XPath scales by the root tag's own occurrence count: fig11
      has four b-nodes, so /b/c divides its match count by 4. *)
   let twig, tf = parse "/b/c" in
@@ -252,6 +253,180 @@ let test_document_parse_query_matches_front_end () =
         let direct = Result.get_ok (Treelattice.estimate_xpath tl line) in
         check_bits (Printf.sprintf "xpath %s" line) direct served)
     [ "/a/b"; "/a/b[c]"; "//b[c][d]"; "/b" ]
+
+(* --- the parse cache -------------------------------------------------------- *)
+
+(* Lines over the fig11 tags plus one tag the document lacks, each written
+   as a twig, an unanchored XPath and an anchored XPath. *)
+let generated_lines () =
+  let names l = [| "a"; "b"; "c"; "d"; "ghost" |].(l) in
+  let twigs =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 13 |]) ~n:200
+      (Helpers.twig_gen ~nlabels:5 ~max_nodes:5 ())
+  in
+  let seen = Hashtbl.create 512 in
+  List.concat_map
+    (fun twig ->
+      let ast = Tl_twig.Twig_parse.of_twig ~names twig in
+      [
+        Tl_twig.Twig_parse.to_string ast;
+        Tl_twig.Xpath.to_string (Tl_twig.Xpath.of_twig_ast ~anchored:false ast);
+        Tl_twig.Xpath.to_string (Tl_twig.Xpath.of_twig_ast ~anchored:true ast);
+      ])
+    twigs
+  |> List.filter (fun line ->
+         let fresh = not (Hashtbl.mem seen line) in
+         Hashtbl.replace seen line ();
+         fresh)
+
+let test_parse_cache_hit_equals_miss () =
+  Metrics.reset ();
+  let t = Registry.create () in
+  let tree = Helpers.tree_of Helpers.fig11_spec in
+  let b = Result.get_ok (Registry.install_document t ~name:"d" tree) in
+  let lines = generated_lines () in
+  let n = List.length lines in
+  let parse line =
+    match Registry.parse_query b line with
+    | Ok (twig, tf) -> (Twig.Key.id (Twig.key twig), List.map tf [ 0.0; 1.0; 7.25; 1e9 ])
+    | Error msg -> Alcotest.failf "parse %S: %s" line msg
+  in
+  let uncached = List.map parse lines in
+  Alcotest.(check int) "first pass misses every line" n (counter "registry.parse_cache_misses");
+  Alcotest.(check int) "first pass hits nothing" 0 (counter "registry.parse_cache_hits");
+  let cached = List.map parse lines in
+  Alcotest.(check int) "second pass hits every line" n (counter "registry.parse_cache_hits");
+  Alcotest.(check int) "second pass parses nothing" n (counter "registry.parse_cache_misses");
+  List.iteri
+    (fun i (line, ((key0, out0), (key1, out1))) ->
+      Alcotest.(check int) (Printf.sprintf "line %d %S key" i line) key0 key1;
+      List.iter2 (check_bits (Printf.sprintf "line %d %S transform" i line)) out0 out1)
+    (List.combine lines (List.combine uncached cached));
+  Alcotest.(check int) "document labels unchanged" 4 (Array.length (Registry.label_names b))
+
+(* The LRU keeps the most recent lines, so walking back from the newest
+   line hits exactly as many lines as the cache holds before it misses. *)
+let test_parse_cache_bounded () =
+  Metrics.reset ();
+  let capacity = 64 and n = 10_000 in
+  let t = Registry.create ~config:{ Registry.default_config with plan_capacity = Some capacity } () in
+  let b = Result.get_ok (Registry.install_document t ~name:"d" (Helpers.tree_of Helpers.fig11_spec)) in
+  let line i = if i mod 2 = 0 then Printf.sprintf "a(b(c),z%d)" i else Printf.sprintf "/a/b[d]/q%d" i in
+  let parse i =
+    match Registry.parse_query b (line i) with
+    | Ok _ -> ()
+    | Error msg -> Alcotest.failf "parse %S: %s" (line i) msg
+  in
+  for i = 1 to n do
+    parse i
+  done;
+  Alcotest.(check int) "every distinct line parsed" n (counter "registry.parse_cache_misses");
+  let rec walk_back i =
+    parse i;
+    if counter "registry.parse_cache_misses" = n then walk_back (i - 1)
+  in
+  walk_back n;
+  Alcotest.(check int) "holds exactly the plan capacity" capacity (counter "registry.parse_cache_hits");
+  Alcotest.(check int) "document labels unchanged" 4 (Array.length (Registry.label_names b))
+
+(* A line past the length limit is parsed on every call, never kept. *)
+let test_parse_cache_skips_long_lines () =
+  Metrics.reset ();
+  let t = Registry.create () in
+  let b = Result.get_ok (Registry.install_document t ~name:"d" (Helpers.tree_of Helpers.fig11_spec)) in
+  let long = "a(" ^ String.make 100_000 ' ' ^ "b)" in
+  let key line =
+    match Registry.parse_query b line with
+    | Ok (twig, _) -> Twig.Key.id (Twig.key twig)
+    | Error msg -> Alcotest.failf "parse: %s" msg
+  in
+  let first = key long in
+  Alcotest.(check int) "same twig on the second call" first (key long);
+  Alcotest.(check int) "same twig as the short line" first (key "a(b)");
+  Alcotest.(check int) "long line never hits" 0 (counter "registry.parse_cache_hits");
+  Alcotest.(check int) "long line parsed on every call" 3 (counter "registry.parse_cache_misses");
+  ignore (key "a(b)");
+  Alcotest.(check int) "short line cached" 1 (counter "registry.parse_cache_hits")
+
+let test_parse_cache_skips_errors () =
+  Metrics.reset ();
+  let t = Registry.create () in
+  let b = Result.get_ok (Registry.install_document t ~name:"d" (Helpers.tree_of Helpers.fig11_spec)) in
+  List.iter
+    (fun (line, offset) ->
+      for call = 1 to 3 do
+        match Registry.parse_query b line with
+        | Ok _ -> Alcotest.failf "%S parsed on call %d" line call
+        | Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S call %d positioned: %s" line call msg)
+            true
+            (contains ~needle:(Printf.sprintf "offset %d" offset) msg)
+      done)
+    [ ("a((", 2); ("/a[", 3) ];
+  Alcotest.(check int) "errors are never cached" 0 (counter "registry.parse_cache_hits");
+  Alcotest.(check int) "every call parsed" 6 (counter "registry.parse_cache_misses")
+
+(* A summary-only bundle scales anchored XPath by the root tag's level-1
+   count in its own summary, so a swap that changes that count must change
+   the answer — a transform cached under the old epoch must not leak. *)
+let test_parse_cache_swap_rescales () =
+  let t = Registry.create () in
+  let tree = Helpers.tree_of Helpers.fig11_spec in
+  let names = Data_tree.label_names tree in
+  let b1 = Result.get_ok (Registry.install_summary t ~name:"s" ~names (Summary.build ~k:3 tree)) in
+  (* Same tags in the same first-occurrence order, so the same label ids,
+     but two b-nodes instead of four. *)
+  let tree2 =
+    Helpers.tree_of
+      Tl_tree.Tree_builder.(node "a" (replicate 2 (node "b" [ leaf "c"; leaf "d" ])))
+  in
+  Alcotest.(check (array string)) "same label space" names (Data_tree.label_names tree2);
+  let answer b =
+    match Registry.parse_query b "/b/c" with
+    | Ok (twig, tf) -> tf (Registry.batch b [| twig |]).(0)
+    | Error msg -> Alcotest.failf "parse: %s" msg
+  in
+  let raw b = (Registry.batch b [| fst (Result.get_ok (Registry.parse_query b "b(c)")) |]).(0) in
+  check_bits "epoch 1 divides by four b-nodes" (raw b1 /. 4.0) (answer b1);
+  check_bits "epoch 1 cached answer" (raw b1 /. 4.0) (answer b1);
+  let b2 = Result.get_ok (Registry.swap t "s" (Summary.build ~k:3 tree2)) in
+  let misses = counter "registry.parse_cache_misses" in
+  let answer2 = answer b2 in
+  Alcotest.(check int) "new bundle starts with an empty cache" (misses + 1)
+    (counter "registry.parse_cache_misses");
+  check_bits "epoch 2 divides by two b-nodes" (raw b2 /. 2.0) answer2;
+  check_bits "old bundle keeps its own scaling" (raw b1 /. 4.0) (answer b1)
+
+(* With the drift monitor sampling every query, a line naming a tag the
+   dataset lacks still answers exactly 0, its exact count replays as 0
+   through either oracle, and neither the dataset's nor the drift
+   document's label space grows. *)
+let test_monitored_absent_tags () =
+  let tree = Helpers.tree_of Helpers.fig11_spec in
+  let drift = Helpers.tree_of Helpers.regular_spec in
+  let drift_labels = Data_tree.label_count drift in
+  List.iter
+    (fun (name, drift_tree) ->
+      let config = { Registry.default_config with sample_rate = 1.0; drift_tree } in
+      let t = Registry.create ~config () in
+      let b = Result.get_ok (Registry.install_document t ~name:"d" tree) in
+      let labels = Array.length (Registry.label_names b) in
+      let lines = [ "ghost(a)"; "a(b(zz))"; "/nowhere/b"; "a(b(c,d))" ] in
+      let parsed = List.map (fun l -> Result.get_ok (Registry.parse_query b l)) lines in
+      let served =
+        Array.map2 (fun (_, tf) e -> tf e) (Array.of_list parsed)
+          (Registry.batch b (Array.of_list (List.map fst parsed)))
+      in
+      let direct = baseline (Registry.summary b) [| Helpers.twig_of_string tree "a(b(c,d))" |] in
+      List.iteri (fun i line -> if i < 3 then check_bits (name ^ " " ^ line) 0.0 served.(i)) lines;
+      check_bits (name ^ " known line") direct.(0) served.(3);
+      (match Registry.monitor b with
+      | Some m -> Alcotest.(check bool) (name ^ " sampled") true ((Tl_serve.Monitor.stats m).samples > 0)
+      | None -> Alcotest.fail "monitor missing");
+      Alcotest.(check int) (name ^ " labels flat") labels (Array.length (Registry.label_names b)))
+    [ ("adaptive oracle", None); ("drift document", Some drift) ];
+  Alcotest.(check int) "drift document labels flat" drift_labels (Data_tree.label_count drift)
 
 (* --- the acceptance stress ------------------------------------------------ *)
 
@@ -403,6 +578,16 @@ let () =
           Alcotest.test_case "install, parse, batch, unknown tags" `Quick test_summary_only_dataset;
           Alcotest.test_case "document xpath = front-end" `Quick
             test_document_parse_query_matches_front_end;
+        ] );
+      ( "parse_cache",
+        [
+          Alcotest.test_case "hit = miss over twig and xpath lines" `Quick
+            test_parse_cache_hit_equals_miss;
+          Alcotest.test_case "bounded by the plan capacity" `Quick test_parse_cache_bounded;
+          Alcotest.test_case "long lines parsed uncached" `Quick test_parse_cache_skips_long_lines;
+          Alcotest.test_case "errors re-diagnosed on every call" `Quick test_parse_cache_skips_errors;
+          Alcotest.test_case "swap rescales anchored xpath" `Quick test_parse_cache_swap_rescales;
+          Alcotest.test_case "monitored absent tags answer 0" `Quick test_monitored_absent_tags;
         ] );
       ( "stress",
         [

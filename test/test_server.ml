@@ -85,6 +85,9 @@ let test_protocol_basics () =
   send oc "# a comment\na(b(c,d))\nnot a query (((\nb(c,d)\n\n";
   (match read_batch ic with
   | [ l0; l1; l2 ] -> (
+    Alcotest.(check string) "answer text is the %.17g line"
+      (Printf.sprintf "%.17g\t%d\td\t%s" expected.(0) (Registry.epoch bundle) scheme_name)
+      l0;
     (match parse_answer l0 with
     | Ok (est, epoch, ds, scheme) ->
       Alcotest.(check bool) "query 0 bits" true (same_float est expected.(0));
@@ -158,6 +161,7 @@ let test_multiclient_matches_sequential () =
   with_server ~pool t @@ fun server ->
   let failures = Atomic.make 0 in
   let answered = Atomic.make 0 in
+  let sent = Atomic.make 0 in
   let client cid =
     try
       with_client (Server.port server) @@ fun _fd ic oc ->
@@ -175,6 +179,7 @@ let test_multiclient_matches_sequential () =
           order;
         Buffer.add_char buf '\n';
         send oc (Buffer.contents buf);
+        ignore (Atomic.fetch_and_add sent (Array.length order));
         let answers = read_batch ic in
         if List.length answers <> Array.length order then Atomic.incr failures
         else
@@ -196,8 +201,129 @@ let test_multiclient_matches_sequential () =
     (Atomic.get answered);
   let stats = Server.stats server in
   Alcotest.(check int) "stats count every query" (Atomic.get answered) stats.Server.queries;
+  Alcotest.(check int) "stats count every line sent" (Atomic.get sent) stats.Server.queries;
   Alcotest.(check int) "all clients accepted" n_clients stats.Server.connections;
   Alcotest.(check int) "nothing shed at this load" 0 stats.Server.shed
+
+(* --- framing ------------------------------------------------------------------ *)
+
+(* Send [pieces] one write each (pausing between them, so the server sees
+   them as separate reads), close the send side, and return every byte of
+   the answers.  A receive timeout turns a framing bug that loses a line
+   into a failure instead of a hang. *)
+let exchange ?(pause = 0.0) port pieces =
+  let fd = connect port in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.setsockopt fd Unix.TCP_NODELAY true;
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      List.iter
+        (fun piece ->
+          let b = Bytes.of_string piece in
+          let rec write off =
+            if off < Bytes.length b then write (off + Unix.write fd b off (Bytes.length b - off))
+          in
+          write 0;
+          if pause > 0.0 then Thread.delay pause)
+        pieces;
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      In_channel.input_all (Unix.in_channel_of_descr fd))
+
+let chunks size s =
+  List.init
+    ((String.length s + size - 1) / size)
+    (fun i -> String.sub s (i * size) (min size (String.length s - (i * size))))
+
+let test_framing_matches_one_write () =
+  let t, _, _ = registry_with_fig11 () in
+  with_server t @@ fun server ->
+  let port = Server.port server in
+  let same_as_one_write ?pause name payload pieces =
+    let expected = exchange port [ payload ] in
+    Alcotest.(check bool) (name ^ ": answered") true (contains ~needle:"\td\t" expected);
+    Alcotest.(check string) name expected (exchange ?pause port pieces);
+    expected
+  in
+  let batch = "a(b(c,d))\n# comment\nnot a query (((\n/a/b[c]\n\nb(c,d)\na(b,b)\n\n" in
+  let lf = same_as_one_write ~pause:0.0005 "one byte per write" batch (chunks 1 batch) in
+  let crlf_batch = String.concat "\r\n" (String.split_on_char '\n' batch) in
+  let crlf = same_as_one_write ~pause:0.0005 "crlf" crlf_batch (chunks 7 crlf_batch) in
+  Alcotest.(check string) "crlf answers = lf answers" lf crlf;
+  ignore
+    (same_as_one_write ~pause:0.0005 "final line without newline" "a(b,b)\nb(c,d)"
+       (chunks 3 "a(b,b)\nb(c,d)"));
+  (* Lines of every length around the read size, so some straddle each
+     4096-byte boundary, in flushes of 50 lines. *)
+  let long =
+    String.concat ""
+      (List.init 400 (fun i ->
+           Printf.sprintf "a(%sb(c),b)\n%s" (String.make (i mod 97) ' ')
+             (if i mod 50 = 49 then "\n" else "")))
+  in
+  Alcotest.(check bool) "spans several reads" true (String.length long > 3 * 4096);
+  List.iter
+    (fun size ->
+      ignore
+        (same_as_one_write ~pause:0.002
+           (Printf.sprintf "%d-byte writes" size)
+           long (chunks size long)))
+    [ 4095; 4096; 4097 ];
+  (* One 100 KB line (a(b) padded with whitespace the parser ignores),
+     then ordinary ones framed after the buffer shrinks back. *)
+  let huge = "a(" ^ String.make 100_000 ' ' ^ "b)\nb(c,d)\n\n" ^ long in
+  ignore (same_as_one_write ~pause:0.0005 "100 KB line" huge (chunks 1000 huge))
+
+(* --- tags the dataset lacks -------------------------------------------------- *)
+
+(* Two connections alternate fresh unknown tags with known queries: every
+   known answer stays bit-identical to the direct estimate, every unknown
+   one is exactly 0, and no query grows the dataset's label space. *)
+let test_unknown_tags_never_intern () =
+  let t, tree, bundle = registry_with_fig11 () in
+  let queries = Array.of_list fig11_queries in
+  let expected = baseline (Registry.summary bundle) (Array.map (Helpers.twig_of_string tree) queries) in
+  let labels_before = Array.length (Registry.label_names bundle) in
+  let batches = 157 and half = 32 in
+  with_server t @@ fun server ->
+  let failures = Atomic.make 0 and known = Atomic.make 0 and novel = Atomic.make 0 in
+  let client cid =
+    try
+      with_client (Server.port server) @@ fun _fd ic oc ->
+      for b = 1 to batches do
+        let buf = Buffer.create 1024 in
+        for i = 0 to half - 1 do
+          let tag = Printf.sprintf "zq%d_%d_%d" cid b i in
+          Buffer.add_string buf (if i mod 2 = 0 then tag else "a(b(" ^ tag ^ "))");
+          Buffer.add_char buf '\n';
+          Buffer.add_string buf queries.((b + i) mod Array.length queries);
+          Buffer.add_char buf '\n'
+        done;
+        Buffer.add_char buf '\n';
+        send oc (Buffer.contents buf);
+        List.iteri
+          (fun j line ->
+            match parse_answer line with
+            | Ok (est, _, _, _) when j mod 2 = 0 && same_float est 0.0 -> Atomic.incr novel
+            | Ok (est, _, _, _)
+              when j mod 2 = 1 && same_float est expected.((b + (j / 2)) mod Array.length queries) ->
+              Atomic.incr known
+            | _ -> Atomic.incr failures)
+          (read_batch ic)
+      done
+    with _ -> Atomic.incr failures
+  in
+  List.iter Thread.join (List.init 2 (Thread.create client));
+  Alcotest.(check int) "no wrong answer" 0 (Atomic.get failures);
+  Alcotest.(check int) "every known line answered" (2 * batches * half) (Atomic.get known);
+  Alcotest.(check bool) "10k novel tags answered 0" true (Atomic.get novel >= 10_000);
+  Alcotest.(check int) "label space flat" labels_before
+    (Array.length (Registry.label_names bundle));
+  match Registry.find t "d" with
+  | Some current ->
+    Alcotest.(check int) "current bundle's label space flat" labels_before
+      (Array.length (Registry.label_names current))
+  | None -> Alcotest.fail "dataset vanished"
 
 (* --- admission control ----------------------------------------------------- *)
 
@@ -288,6 +414,16 @@ let () =
         [
           Alcotest.test_case "multi-client multiset = sequential reference" `Quick
             test_multiclient_matches_sequential;
+        ] );
+      ( "framing",
+        [
+          Alcotest.test_case "split, crlf, unterminated and 100 KB lines = one write" `Quick
+            test_framing_matches_one_write;
+        ] );
+      ( "novel_tags",
+        [
+          Alcotest.test_case "concurrent novel tags answer 0, intern nothing" `Quick
+            test_unknown_tags_never_intern;
         ] );
       ( "admission",
         [ Alcotest.test_case "tiny queue sheds with busy" `Quick test_tiny_queue_sheds ] );
