@@ -170,12 +170,12 @@ let run_parallel_build ~jobs ~k pool suite =
 
 (* --- estimation latency: interned keys vs the seed string path ----------- *)
 
-module Baseline = Tl_core.Baseline
+module Baseline = Tl_oracle.Baseline
 module Workload = Tl_workload.Workload
 
 (* Per-estimate latency over the Fig. 9 positive workloads, for every
    scheme, measured twice: against the hash-consed estimator and against
-   {!Tl_core.Baseline} (the seed string-keyed path on its own twig type).
+   {!Tl_oracle.Baseline} (the seed string-keyed path on its own twig type).
    One warm-up sweep precedes timing so the interned path is measured at
    steady state (keys cached on the workload twigs), which is the regime
    repeated estimation over a workload actually runs in; the recorded

@@ -49,18 +49,7 @@ type probe = {
     block:string -> overlap:string option -> twins:int -> num:float -> den:float -> acc:float -> unit;
 }
 
-let lookup_metric = function
-  | Found_extra _ -> Metrics.incr "estimator.extra_hits"
-  | Found_summary _ -> Metrics.incr "estimator.summary_hits"
-  | Assumed_zero -> Metrics.incr "estimator.true_zeros"
-  | Decomposing -> Metrics.incr "estimator.decompositions"
-
-let probe_lookup probe key result =
-  Metrics.incr "estimator.lookups";
-  lookup_metric result;
-  match probe with None -> () | Some p -> p.on_lookup key result
-
-(* --- recursive decomposition (Fig. 4) ---------------------------------- *)
+(* --- leaf pairs for recursive decomposition (Fig. 4) -------------------- *)
 
 let unordered_pairs xs =
   let rec go = function
@@ -76,105 +65,6 @@ let nodes_except (ix : Twig.indexed) dropped =
     if i < 0 then acc else collect (i - 1) (if List.mem i dropped then acc else i :: acc)
   in
   collect (n - 1) []
-
-(* [extra] is an auxiliary exact-count source consulted before the summary
-   (the workload-adaptive cache of {!Adaptive}); [fun _ -> None] for the
-   plain estimators. *)
-let recursive_estimate ?(extra = fun _ -> None) ?probe ~voting summary twig =
-  (* Memoized on interned canonical ids: the per-call table hashes ints,
-     and repeat sub-twigs cost one cached [Twig.key] field read. *)
-  let memo : (int, float) Hashtbl.t = Hashtbl.create 64 in
-  let complete = Summary.is_complete summary in
-  let k = Summary.k summary in
-  let rec est twig =
-    let key = Twig.key twig in
-    let id = Twig.Key.id key in
-    match Hashtbl.find_opt memo id with
-    | Some v -> v
-    | None ->
-      let v = compute (Twig.Key.twig key) key in
-      Hashtbl.replace memo id v;
-      v
-  and compute twig key =
-    match (extra key : float option) with
-    | Some known ->
-      probe_lookup probe (Twig.Key.encode key) (Found_extra known);
-      known
-    | None ->
-    match Summary.find_key summary key with
-    | Some count ->
-      probe_lookup probe (Twig.Key.encode key) (Found_summary count);
-      float_of_int count
-    | None ->
-      let n = Twig.Key.size key in
-      (* Levels 1 and 2 are complete in every summary (pruning keeps them),
-         so a miss there is a true zero; likewise any level <= k of a
-         complete summary. *)
-      if n <= 2 || (complete && n <= k) then begin
-        probe_lookup probe (Twig.Key.encode key) Assumed_zero;
-        0.0
-      end
-      else begin
-        probe_lookup probe (Twig.Key.encode key) Decomposing;
-        let ix = Twig.index twig in
-        let removable = Twig.degree_one ix in
-        let pairs = unordered_pairs removable in
-        let pairs =
-          match (voting, pairs) with
-          | true, _ | _, [] -> pairs
-          | false, first :: _ -> [ first ]
-        in
-        let value_of (u, u') =
-          (* [remove] = [induced] of all-but-one for a degree-1 node, minus
-             the node-list and connectivity-check overhead; same canonical
-             result, hence the same key and the same floats. *)
-          let t1 = Twig.remove ix u in
-          let t2 = Twig.remove ix u' in
-          (* Theorem 1 assumes the two grown edges are distinct.  When
-             u and u' are same-labeled siblings the two edges are the
-             SAME edge type, and matches must place them injectively:
-             a T-intersection match with i candidate children yields
-             i*(i-1) ordered pairs, not i^2, so the expectation gets
-             an injectivity correction of -E[i] per match:
-             sigma(T) ~ sigma(T1)^2/sigma(Tcap) - sigma(T1). *)
-          let twin_edges =
-            ix.parents.(u) >= 0
-            && ix.parents.(u) = ix.parents.(u')
-            && ix.node_labels.(u) = ix.node_labels.(u')
-          in
-          let finish ~e1 ~e2 ~ec value =
-            (match probe with
-            | None -> ()
-            | Some p ->
-              let cap = Twig.induced ix (nodes_except ix [ u; u' ]) in
-              p.on_pair ~parent:(Twig.Key.encode key) ~t1:(Twig.encode t1) ~t2:(Twig.encode t2)
-                ~cap:(Twig.encode cap) ~twin:twin_edges ~e1 ~e2 ~ec ~value);
-            value
-          in
-          let e1 = est t1 in
-          if e1 = 0.0 then finish ~e1 ~e2:Float.nan ~ec:Float.nan 0.0
-          else begin
-            let e2 = est t2 in
-            if e2 = 0.0 then finish ~e1 ~e2 ~ec:Float.nan 0.0
-            else begin
-              let cap = Twig.induced ix (nodes_except ix [ u; u' ]) in
-              let ec = est cap in
-              if ec <= 0.0 then finish ~e1 ~e2 ~ec 0.0
-              else if twin_edges then finish ~e1 ~e2 ~ec (Float.max 0.0 ((e1 *. e2 /. ec) -. e1))
-              else finish ~e1 ~e2 ~ec (e1 *. e2 /. ec)
-            end
-          end
-        in
-        match pairs with
-        | [] -> 0.0 (* unreachable: any twig of size >= 2 has two degree-1 nodes *)
-        | _ ->
-          let total = List.fold_left (fun acc pair -> acc +. value_of pair) 0.0 pairs in
-          let v = total /. float_of_int (List.length pairs) in
-          (match probe with None -> () | Some p -> p.on_value (Twig.Key.encode key) v);
-          v
-      end
-  in
-  est twig
 
 (* --- fixed-size decomposition (Fig. 5) --------------------------------- *)
 
@@ -242,175 +132,15 @@ let cover twig ~k =
   if Twig.size twig <= k then invalid_arg "Estimator.cover: twig not larger than k";
   List.map (fun (b, o, _) -> (b, o)) (cover_with ~choose:List.hd (Twig.index twig) ~k)
 
-(* Stored count of a small pattern, falling back to recursive decomposition
-   when a pruned summary no longer holds it (keeps Lemma 5). *)
-let small_estimate ?(extra = fun _ -> None) ?probe summary twig =
-  let key = Twig.key twig in
-  match extra key with
-  | Some known ->
-    probe_lookup probe (Twig.Key.encode key) (Found_extra known);
-    known
-  | None -> (
-    match Summary.find_key summary key with
-    | Some c ->
-      probe_lookup probe (Twig.Key.encode key) (Found_summary c);
-      float_of_int c
-    | None ->
-      if Summary.is_complete summary then begin
-        probe_lookup probe (Twig.Key.encode key) Assumed_zero;
-        0.0
-      end
-      else recursive_estimate ~extra ?probe ~voting:false summary twig)
-
-let estimate_of_cover ?extra ?probe summary blocks =
-  let step ~block ~overlap ~twins ~num ~den ~acc =
-    match probe with
-    | None -> ()
-    | Some p ->
-      p.on_cover_step ~block:(Twig.encode block)
-        ~overlap:(Option.map Twig.encode overlap)
-        ~twins ~num ~den ~acc
-  in
-  let rec go acc = function
-    | [] -> acc
-    | (block, overlap, twins) :: rest ->
-      if acc = 0.0 then 0.0
-      else begin
-        let num = small_estimate ?extra ?probe summary block in
-        if num = 0.0 then begin
-          step ~block ~overlap ~twins ~num ~den:Float.nan ~acc:0.0;
-          0.0
-        end
-        else begin
-          match overlap with
-          | None ->
-            step ~block ~overlap ~twins ~num ~den:Float.nan ~acc:(acc *. num);
-            go (acc *. num) rest
-          | Some i ->
-            let den = small_estimate ?extra ?probe summary i in
-            if den <= 0.0 then begin
-              step ~block ~overlap ~twins ~num ~den ~acc:0.0;
-              0.0
-            end
-            else begin
-              let multiplier = (num /. den) -. float_of_int twins in
-              if multiplier <= 0.0 then begin
-                step ~block ~overlap ~twins ~num ~den ~acc:0.0;
-                0.0
-              end
-              else begin
-                step ~block ~overlap ~twins ~num ~den ~acc:(acc *. multiplier);
-                go (acc *. multiplier) rest
-              end
-            end
-        end
-      end
-  in
-  go 1.0 blocks
-
-let fixed_size_estimate ?extra ?probe ?samples summary twig =
-  let k = Summary.k summary in
-  let twig = Twig.canonicalize twig in
-  if Twig.Key.size (Twig.key twig) <= k then small_estimate ?extra ?probe summary twig
-  else begin
-    let ix = Twig.index twig in
-    match samples with
-    | None -> estimate_of_cover ?extra ?probe summary (cover_with ~choose:List.hd ix ~k)
-    | Some count ->
-      let count = max 1 count in
-      (* Deterministic seed per query so estimates are reproducible. *)
-      let rng = Tl_util.Xorshift.create (Twig.hash twig) in
-      let one () =
-        let choose candidates = List.nth candidates (Tl_util.Xorshift.int rng (List.length candidates)) in
-        estimate_of_cover ?extra ?probe summary (cover_with ~choose ix ~k)
-      in
-      let total = ref 0.0 in
-      for _ = 1 to count do
-        total := !total +. one ()
-      done;
-      !total /. float_of_int count
-  end
-
-let first_level_votes ?(extra = fun _ -> None) summary twig =
-  let key = Twig.key twig in
-  let twig = Twig.Key.twig key in
-  (* The seed dropped [extra] here, so the vote spread (and hence
-     {!estimate_interval}) could exclude the value [estimate ~extra]
-     returns.  The feedback source must win at the top level and inside
-     every sub-estimate, exactly as in {!recursive_estimate}. *)
-  match extra key with
-  | Some known -> [ known ]
-  | None -> (
-    match Summary.find_key summary key with
-    | Some count -> [ float_of_int count ]
-    | None ->
-      let n = Twig.Key.size key in
-      if n <= 2 || (Summary.is_complete summary && n <= Summary.k summary) then [ 0.0 ]
-      else begin
-        let ix = Twig.index twig in
-        let pairs = unordered_pairs (Twig.degree_one ix) in
-        (* Each vote resolves its sub-estimates deterministically, isolating
-           the effect of the top-level pair choice. *)
-        List.map
-          (fun (u, u') ->
-            let t1 = Twig.induced ix (nodes_except ix [ u ]) in
-            let t2 = Twig.induced ix (nodes_except ix [ u' ]) in
-            let cap = Twig.induced ix (nodes_except ix [ u; u' ]) in
-            let e1 = recursive_estimate ~extra ~voting:false summary t1 in
-            let e2 = recursive_estimate ~extra ~voting:false summary t2 in
-            let ec = recursive_estimate ~extra ~voting:false summary cap in
-            if e1 = 0.0 || e2 = 0.0 || ec <= 0.0 then 0.0
-            else begin
-              let twin_edges =
-                ix.parents.(u) >= 0
-                && ix.parents.(u) = ix.parents.(u')
-                && ix.node_labels.(u) = ix.node_labels.(u')
-              in
-              if twin_edges then Float.max 0.0 ((e1 *. e2 /. ec) -. e1) else e1 *. e2 /. ec
-            end)
-          pairs
-      end)
-
-type interval = { low : float; best : float; high : float }
-
-let estimate_interval ?extra summary twig =
-  let twig = Twig.canonicalize twig in
-  let votes = Array.of_list (first_level_votes ?extra summary twig) in
-  let best = recursive_estimate ?extra ~voting:true summary twig in
-  if Array.length votes = 0 then { low = best; best; high = best }
-  else
-    {
-      (* Votes resolve sub-estimates deterministically while [best] votes at
-         every level, so [best] can land slightly outside the raw vote
-         spread; the interval always contains it. *)
-      low = Float.min best (Tl_util.Stats.minimum votes);
-      best;
-      high = Float.max best (Tl_util.Stats.maximum votes);
-    }
-
-let estimate ?extra ?probe summary scheme twig =
-  let twig = Twig.canonicalize twig in
-  match scheme with
-  | Recursive -> recursive_estimate ?extra ?probe ~voting:false summary twig
-  | Recursive_voting -> recursive_estimate ?extra ?probe ~voting:true summary twig
-  | Fixed_size -> fixed_size_estimate ?extra ?probe summary twig
-  | Fixed_size_voting samples -> fixed_size_estimate ?extra ?probe ~samples summary twig
-
 (* --- compiled plans ----------------------------------------------------- *)
 
-(* A plan is [estimate] with everything that does not depend on the
-   [?extra] feedback source hoisted to compile time: canonicalization,
-   sub-twig enumeration ([remove]/[induced] spine rebuilds), summary
-   lookups, the zero rules, twin-edge detection, and — for the fixed-size
-   schemes — the whole cover construction including the rng draws.  What
-   remains at eval time is a lazy sweep over int-indexed slots.
-
-   Bit-identity with the direct path is a hard invariant (the qcheck
-   differential property pins it): every short-circuit, accumulation
-   order, and division below mirrors the corresponding site above.  The
-   single permitted divergence is that [small_estimate]'s fallback chain
-   consults [extra] twice for the same key where a plan consults it once —
-   the floats agree because the source is deterministic within a call. *)
+(* A plan is one query's decomposition with everything that does not
+   depend on the [?extra] feedback source hoisted to compile time:
+   canonicalization, sub-twig enumeration ([remove]/[induced] spine
+   rebuilds), summary lookups, the zero rules, twin-edge detection, and —
+   for the fixed-size schemes — the whole cover construction including the
+   rng draws.  What remains at eval time is a lazy sweep over int-indexed
+   slots.  [estimate] is compile-then-eval, so this is the only evaluator. *)
 module Plan = struct
   type pair = { s1 : int; s2 : int; scap : int; twin : bool }
 
@@ -443,6 +173,14 @@ module Plan = struct
   let root_key t = t.root
 
   let slot_count t = Array.length t.slots
+
+  (* Theorem 1 on one leaf pair whose two sides are nonzero.  Twin edges
+     (same-labeled siblings) take the injectivity correction [- e1]; see
+     [compile]. *)
+  let[@inline] theorem1 ~twin e1 e2 ec =
+    if ec <= 0.0 then 0.0
+    else if twin then Float.max 0.0 ((e1 *. e2 /. ec) -. e1)
+    else e1 *. e2 /. ec
 
   let eval_with plan ~extra ~probe =
     let slots = plan.slots in
@@ -482,6 +220,7 @@ module Plan = struct
           | None -> ()
           | Some p -> p.on_lookup (Twig.Key.encode key) Decomposing);
           let np = Array.length pairs in
+          (* Unreachable: any twig of size >= 2 has two degree-1 nodes. *)
           if np = 0 then 0.0
           else begin
             let total = ref 0.0 in
@@ -511,9 +250,7 @@ module Plan = struct
         if e2 = 0.0 then finish ~e1 ~e2 ~ec:Float.nan 0.0
         else begin
           let ec = get pr.scap in
-          if ec <= 0.0 then finish ~e1 ~e2 ~ec 0.0
-          else if pr.twin then finish ~e1 ~e2 ~ec (Float.max 0.0 ((e1 *. e2 /. ec) -. e1))
-          else finish ~e1 ~e2 ~ec (e1 *. e2 /. ec)
+          finish ~e1 ~e2 ~ec (theorem1 ~twin:pr.twin e1 e2 ec)
         end
       end
     in
@@ -573,8 +310,8 @@ module Plan = struct
       let nc = Array.length covers in
       if nc = 1 && plan.pscheme = Fixed_size then eval_cover covers.(0)
       else begin
-        (* [x /. 1.0 = x] exactly, so a 1-sample voting cover still matches
-           the direct path's unconditional average. *)
+        (* Averaged unconditionally: [x /. 1.0 = x] exactly, so a 1-sample
+           voting cover equals the plain cover's value. *)
         let total = ref 0.0 in
         for i = 0 to nc - 1 do
           total := !total +. eval_cover covers.(i)
@@ -600,9 +337,10 @@ module Plan = struct
       incr n_slots;
       idx
     in
-    (* Mirrors [recursive_estimate]'s compute chain with the summary
-       consulted now instead of at eval time.  Children are pushed before
-       their parent, giving the topological slot order [eval_with] needs. *)
+    (* Recursive decomposition (Fig. 4): a stored count, a true zero, or
+       the leaf pairs to decompose on (the first pair only unless voting).
+       Children are pushed before their parent, giving the topological slot
+       order [eval_with] needs. *)
     let rec comp_rec ~voting key =
       match Hashtbl.find_opt index_of (Twig.Key.id key) with
       | Some idx -> idx
@@ -611,6 +349,9 @@ module Plan = struct
         | Some count -> push key (Stored count)
         | None ->
           let n = Twig.Key.size key in
+          (* Levels 1 and 2 are complete in every summary (pruning keeps
+             them), so a miss there is a true zero; likewise any level
+             <= k of a complete summary. *)
           if n <= 2 || (complete && n <= k) then push key Zero
           else begin
             let twig = Twig.Key.twig key in
@@ -625,9 +366,19 @@ module Plan = struct
             let compiled =
               List.map
                 (fun (u, u') ->
+                  (* [remove] = [induced] of all-but-one for a degree-1
+                     node, minus the node-list and connectivity-check
+                     overhead. *)
                   let t1 = Twig.remove ix u in
                   let t2 = Twig.remove ix u' in
                   let cap = Twig.induced ix (nodes_except ix [ u; u' ]) in
+                  (* Theorem 1 assumes the two grown edges are distinct.
+                     When u and u' are same-labeled siblings they are the
+                     SAME edge type, and matches must place them
+                     injectively: a T-intersection match with i candidate
+                     children yields i*(i-1) ordered pairs, not i^2, so the
+                     estimate gets an injectivity correction of -E[i] per
+                     match: sigma(T) ~ sigma(T1)^2/sigma(Tcap) - sigma(T1). *)
                   let twin =
                     ix.parents.(u) >= 0
                     && ix.parents.(u) = ix.parents.(u')
@@ -642,8 +393,9 @@ module Plan = struct
             push key (Decompose (Array.of_list compiled))
           end)
     in
-    (* Mirrors [small_estimate]: stored, or a true zero under a complete
-       summary, or the recursive fallback that keeps pruning lossless. *)
+    (* A fixed-size block or overlap: stored, or a true zero under a
+       complete summary, or the recursive fallback a pruned summary needs
+       to stay lossless (Lemma 5). *)
     let comp_small key =
       match Hashtbl.find_opt index_of (Twig.Key.id key) with
       | Some idx -> idx
@@ -674,9 +426,8 @@ module Plan = struct
           | Fixed_size -> Cover [| compile_cover List.hd |]
           | Fixed_size_voting samples ->
             let count = max 1 samples in
-            (* Same seed and same draw order as [fixed_size_estimate], so a
-               compiled plan freezes exactly the covers the direct path
-               would sample for this query. *)
+            (* Seeded from the query, so the sampled covers (and hence the
+               estimate) are reproducible. *)
             let rng = Tl_util.Xorshift.create (Twig.hash twig) in
             let choose candidates =
               List.nth candidates (Tl_util.Xorshift.int rng (List.length candidates))
@@ -719,4 +470,91 @@ module Plan = struct
       in
       let v = eval_with plan ~extra:flagged ~probe:None in
       (v, !hit)
+
+  (* The top-level votes of a [Recursive_voting] plan: one value per root
+     leaf pair, its sides resolved by [side] rather than by the plan's own
+     (voting) slots.  A root that [extra] answers, or that resolved without
+     decomposing, casts a single vote. *)
+  let top_votes ~extra ~side plan =
+    match extra plan.root with
+    | Some known -> [ known ]
+    | None -> (
+      match plan.prog with
+      | Cover _ -> invalid_arg "Estimator.Plan.top_votes: not a recursive plan"
+      | Slot_value root -> (
+        match plan.slots.(root).res with
+        | Stored count -> [ float_of_int count ]
+        | Zero -> [ 0.0 ]
+        | Decompose pairs ->
+          let side i = side plan.slots.(i).skey in
+          List.map
+            (fun pr ->
+              let e1 = side pr.s1 in
+              if e1 = 0.0 then 0.0
+              else begin
+                let e2 = side pr.s2 in
+                if e2 = 0.0 then 0.0 else theorem1 ~twin:pr.twin e1 e2 (side pr.scap)
+              end)
+            (Array.to_list pairs)))
 end
+
+(* --- estimation ---------------------------------------------------------- *)
+
+(* The [estimator.*] counters tally each evaluated plan's resolved slots
+   once, and the feedback source's answers, outside [Plan.eval]: serving
+   from cached plans pays nothing for them. *)
+let count_slots (plan : Plan.t) =
+  let stored = ref 0 and zeros = ref 0 and decomposed = ref 0 in
+  Array.iter
+    (fun (s : Plan.slot) ->
+      match s.res with
+      | Stored _ -> incr stored
+      | Zero -> incr zeros
+      | Decompose _ -> incr decomposed)
+    plan.slots;
+  let add name n = if n > 0 then Metrics.add name n in
+  add "estimator.lookups" (Array.length plan.slots);
+  add "estimator.summary_hits" !stored;
+  add "estimator.true_zeros" !zeros;
+  add "estimator.decompositions" !decomposed
+
+let eval_counted ?extra ?probe plan =
+  count_slots plan;
+  let hits = ref 0 in
+  let extra =
+    Option.map (fun f key -> match f key with Some _ as known -> incr hits; known | None -> None) extra
+  in
+  let v = Plan.eval ?extra ?probe plan in
+  if !hits > 0 then Metrics.add "estimator.extra_hits" !hits;
+  v
+
+let estimate ?extra ?probe summary scheme twig =
+  eval_counted ?extra ?probe (Plan.compile summary scheme twig)
+
+(* Each vote resolves its sides with the deterministic scheme, isolating
+   the effect of the top-level pair choice; [extra] wins at the top level
+   and inside every side, as in [estimate]. *)
+let votes ?extra summary plan =
+  Plan.top_votes plan
+    ~extra:(Option.value extra ~default:Plan.no_extra)
+    ~side:(fun key -> estimate ?extra summary Recursive (Twig.Key.twig key))
+
+let first_level_votes ?extra summary twig =
+  votes ?extra summary (Plan.compile summary Recursive_voting twig)
+
+type interval = { low : float; best : float; high : float }
+
+let estimate_interval ?extra summary twig =
+  let plan = Plan.compile summary Recursive_voting twig in
+  let votes = Array.of_list (votes ?extra summary plan) in
+  let best = eval_counted ?extra plan in
+  if Array.length votes = 0 then { low = best; best; high = best }
+  else
+    {
+      (* Votes resolve sub-estimates deterministically while [best] votes at
+         every level, so [best] can land slightly outside the raw vote
+         spread; the interval always contains it. *)
+      low = Float.min best (Tl_util.Stats.minimum votes);
+      best;
+      high = Float.max best (Tl_util.Stats.maximum votes);
+    }

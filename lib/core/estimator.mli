@@ -40,7 +40,9 @@ val scheme_name : scheme -> string
     A probe observes every step an estimation takes — without perturbing
     any number.  All keys are canonical twig encodings
     ({!Tl_twig.Twig.encode}); {!Explain} rebuilds the decomposition DAG
-    from these events for the [treelattice explain] subcommand. *)
+    from these events for the [treelattice explain] subcommand.  Each
+    distinct sub-twig is looked up (and reported) at most once per
+    evaluation, however many decomposition pairs or cover steps share it. *)
 
 (** Outcome of one sub-twig lookup. *)
 type lookup_result =
@@ -85,6 +87,10 @@ val estimate :
 (** Estimated selectivity (>= 0, fractional in general).  Exact lookups are
     returned as-is; a twig whose label set cannot occur estimates to 0.
 
+    This is [Plan.eval ?extra ?probe (Plan.compile summary scheme twig)]:
+    the compiled plan is the only evaluator.  A one-shot call compiles a
+    fresh plan; repeated queries should go through {!Plan_cache}.
+
     [extra] is an auxiliary count source keyed by interned canonical key,
     consulted {e before} the summary at every lookup (including the
     sub-twig lookups inside a decomposition).  {!Adaptive} uses it to let
@@ -99,8 +105,9 @@ val first_level_votes :
   Tl_twig.Twig.t ->
   float list
 (** The estimates contributed by each admissible leaf-pair choice at the
-    {e top} level of the recursive decomposition, with sub-estimates
-    resolved deterministically.  A singleton for lattice-resident twigs —
+    {e top} level of the recursive decomposition — the root pairs of the
+    [Recursive_voting] plan — with each side estimated under [Recursive].
+    A singleton for lattice-resident twigs —
     or for twigs the [extra] feedback source answers at the top level; the
     source is also consulted inside every sub-estimate, mirroring
     {!estimate}.  This isolates the sensitivity of the scheme to the pair
@@ -146,26 +153,28 @@ val cover : Tl_twig.Twig.t -> k:int -> (Tl_twig.Twig.t * Tl_twig.Twig.t option) 
 
     For any summary, scheme, twig, and [?extra] source,
     [eval ?extra (compile summary scheme twig)] returns the {e bit-identical}
-    float of [estimate ?extra summary scheme twig] (a qcheck property pins
-    this).  Plans with no feedback source collapse further: the result is a
-    compile-time constant and [eval] without [?extra] is a field read —
-    the fast path the plan cache and the batch engine serve from.
+    float of [estimate ?extra summary scheme twig], by construction: that
+    is how {!estimate} is defined.  The independent check is the
+    string-keyed test oracle under [test/oracle], which the differential
+    tests and the fuzz harness hold every scheme to.  Plans with no
+    feedback source collapse further: the result is a compile-time
+    constant and [eval] without [?extra] is a field read — the fast path
+    the plan cache and the batch engine serve from.
 
     A compiled plan is immutable and safe to share across domains. *)
 module Plan : sig
   type t
 
   val compile : Tl_lattice.Summary.t -> scheme -> Tl_twig.Twig.t -> t
-  (** Compile the query against the summary under the given scheme.  Cost
-      is comparable to one direct [estimate] call; amortize it through
-      {!Plan_cache} for repeated queries. *)
+  (** Compile the query against the summary under the given scheme.  This
+      is nearly all of the cost of one {!estimate} call; amortize it
+      through {!Plan_cache} for repeated queries. *)
 
   val eval : ?extra:(Tl_twig.Twig.Key.t -> float option) -> ?probe:probe -> t -> float
   (** The estimate, consulting [extra] before each slot's compiled
-      resolution (exactly where [estimate] consults it) and reporting the
-      same probe events the direct path reports.  Without [extra] and
-      [probe] this returns the precomputed constant without evaluating
-      anything. *)
+      resolution and reporting each evaluated slot's probe events once.
+      Without [extra] and [probe] this returns the precomputed constant
+      without evaluating anything. *)
 
   val eval_flagged : ?extra:(Tl_twig.Twig.Key.t -> float option) -> t -> float * bool
   (** [eval] plus the feedback-hit flag the serving audit log records:

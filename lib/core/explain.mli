@@ -10,9 +10,10 @@
     re-derivation), so [estimate] here always equals what
     {!Estimator.estimate} returns for the same inputs.
 
-    Sub-twigs are keyed by canonical encoding; because the estimator
-    memoizes per call, the trace is a DAG — a shared sub-twig appears
-    once and is referenced by later steps.  Render with {!to_text} or
+    Sub-twigs are keyed by canonical encoding; because a compiled plan
+    holds one slot per distinct sub-twig, the trace is a DAG — a shared
+    sub-twig is looked up once and referenced by later steps, so the
+    lookup totals count exactly the evaluated nodes.  Render with {!to_text} or
     {!Tl_viz.Dot.explain}. *)
 
 type source =

@@ -1,7 +1,8 @@
 (** A domain-sharded cache of compiled estimation plans.
 
-    Serving workloads repeat queries; compiling a plan costs as much as
-    the direct estimate it replaces, so the win is entirely in reuse.
+    Serving workloads repeat queries; compiling a plan is nearly all of
+    the cost of a one-shot {!Estimator.estimate}, so the win is entirely
+    in reuse.
     The cache interns plans in a shared {!Tl_util.Lru} table — the same
     O(1) eviction structure behind {!Adaptive}, so the two adaptive
     layers age their state under one coordinated policy — and fronts it

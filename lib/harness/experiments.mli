@@ -33,7 +33,7 @@ type env = {
   summary : Tl_lattice.Summary.t;
   engine : Tl_serve.Engine.t;
       (** plan-cached front over [summary]; the lattice schemes in every
-          figure estimate through it (bit-identical to direct estimation) *)
+          figure estimate through it (bit-identical to [Estimator.estimate]) *)
   lattice_ms : float;
   sketch : Tl_sketch.Synopsis.t;
   sketch_ms : float;

@@ -247,15 +247,16 @@ let describe name help =
 
 let builtin_help =
   [
-    ("baseline.estimator.decompositions", "Decompositions taken by the string-keyed baseline estimator");
-    ("baseline.estimator.lookups", "Sub-twig lookups in the string-keyed baseline estimator");
-    ("baseline.estimator.summary_hits", "Baseline lookups answered by the lattice summary");
     ("estimates.nonfinite", "Non-finite serving estimates clamped to 0");
-    ("estimator.decompositions", "Sub-twig decompositions taken during estimation");
-    ("estimator.extra_hits", "Estimator lookups answered by the feedback source");
-    ("estimator.lookups", "Sub-twig lookups during estimation");
-    ("estimator.summary_hits", "Estimator lookups answered by the lattice summary");
-    ("estimator.true_zeros", "Lookups resolved as true zeros under a complete summary");
+    (* The estimator.* counters are tallied once per Estimator.estimate
+       call (and per plan behind estimate_interval / first_level_votes)
+       from the compiled plan's slots; served plan evaluations do not
+       touch them. *)
+    ("estimator.decompositions", "Estimate plan slots resolved by decomposition");
+    ("estimator.extra_hits", "Lookups the feedback source answered during estimates");
+    ("estimator.lookups", "Estimate plan slots resolved (one per distinct sub-twig)");
+    ("estimator.summary_hits", "Estimate plan slots resolved to a stored lattice count");
+    ("estimator.true_zeros", "Estimate plan slots resolved as true zeros");
     ("experiments.runs", "Experiment drivers executed");
     ("match_count.calls", "Exact twig-count evaluations");
     ("match_count.selectivity", "Distribution of exact twig counts");

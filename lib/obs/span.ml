@@ -25,7 +25,7 @@ let enabled () = Atomic.get enabled_flag
 
 let set_enabled v = Atomic.set enabled_flag v
 
-let epoch = Clock.now_ns ()
+let epoch = Tl_util.Mono_clock.now_ns ()
 
 let registry_mutex = Mutex.create ()
 
@@ -48,10 +48,10 @@ let with_ name f =
       | [] -> (name, 1)
       | fr :: _ -> (fr.f_path ^ ";" ^ name, fr.f_depth + 1)
     in
-    let start = Clock.now_ns () in
+    let start = Tl_util.Mono_clock.now_ns () in
     l.stack <- { f_path = path; f_depth = depth; f_start = start } :: l.stack;
     let finish () =
-      let dur = Clock.now_ns () - start in
+      let dur = Tl_util.Mono_clock.now_ns () - start in
       (match l.stack with _ :: rest -> l.stack <- rest | [] -> ());
       l.done_rev <-
         { name; path; domain = l.domain; depth; start_ns = start - epoch; dur_ns = dur }
@@ -185,7 +185,7 @@ let flame () =
   let rows =
     List.sort compare (Hashtbl.fold (fun path (calls, ns) acc -> (path, calls, ns) :: acc) totals [])
   in
-  let ms ns = Printf.sprintf "%.2f" (Clock.ns_to_ms ns) in
+  let ms ns = Printf.sprintf "%.2f" (Tl_util.Mono_clock.ns_to_ms ns) in
   Tl_util.Table.render
     ~header:[ "span"; "calls"; "total ms"; "self ms"; "mean ms" ]
     (List.map

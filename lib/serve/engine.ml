@@ -42,7 +42,7 @@ let sanitize v =
    budget is spent only when someone is listening.  [exact] is the drift
    monitor's replayed truth for this query, when it sampled it. *)
 let eval_audited ~scheme ?extra ?exact t audit key =
-  let t0 = Tl_obs.Clock.now_ns () in
+  let t0 = Tl_util.Mono_clock.now_ns () in
   assert (Plan_cache.epoch t.cache = t.epoch);
   let plan, plan_hit = Plan_cache.plan_key_hit t.cache scheme key in
   let raw, feedback_hit = Estimator.Plan.eval_flagged ?extra plan in
@@ -54,7 +54,7 @@ let eval_audited ~scheme ?extra ?exact t audit key =
     end
     else raw
   in
-  let latency_ns = Tl_obs.Clock.now_ns () - t0 in
+  let latency_ns = Tl_util.Mono_clock.now_ns () - t0 in
   let rel_error =
     match exact with
     | None -> Float.nan

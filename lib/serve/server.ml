@@ -18,7 +18,7 @@
    a connection trickling one batch forever. *)
 
 module Metrics = Tl_obs.Metrics
-module Clock = Tl_obs.Clock
+module Clock = Tl_util.Mono_clock
 module Exporter = Tl_obs.Exporter
 module Estimator = Tl_core.Estimator
 

@@ -5,9 +5,11 @@
    of every estimation path the system stacks on the paper's two
    decomposition schemes:
 
-   - [Estimator.estimate] vs a freshly compiled [Estimator.Plan.eval],
-     per scheme, with and without an [?extra] feedback source;
-   - both vs the seed string-keyed reference path ([Tl_core.Baseline]);
+   - [Estimator.estimate] ("direct": compile-then-eval) vs a freshly
+     compiled [Estimator.Plan.eval], per scheme, with and without an
+     [?extra] feedback source;
+   - both vs the seed string-keyed reference path ([Tl_oracle.Baseline]),
+     the one evaluator independent of the compiled plan;
    - [Tl_serve.Engine.batch] (deduped, sequential and across a domain
      pool) vs the per-call estimator;
    - estimation over a [Summary_io] save/load round trip vs the original
@@ -28,7 +30,7 @@ module Match_count = Tl_twig.Match_count
 module Summary = Tl_lattice.Summary
 module Summary_io = Tl_lattice.Summary_io
 module Estimator = Tl_core.Estimator
-module Baseline = Tl_core.Baseline
+module Baseline = Tl_oracle.Baseline
 module Engine = Tl_serve.Engine
 module Pool = Tl_util.Pool
 

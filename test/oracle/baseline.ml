@@ -90,14 +90,6 @@ let of_summary summary =
 
 (* --- the seed estimators, string-keyed throughout ------------------------ *)
 
-(* The seed charged two metric increments per lookup ([probe_lookup]); the
-   live estimator still does, so this path must pay the same or the
-   comparison flatters it.  Distinct counter names keep the library's own
-   estimator.* series unpolluted by bench baseline sweeps. *)
-let count_lookup outcome =
-  Tl_obs.Metrics.incr "baseline.estimator.lookups";
-  Tl_obs.Metrics.incr outcome
-
 let unordered_pairs xs =
   let rec go = function
     | [] -> []
@@ -124,22 +116,14 @@ let recursive_estimate ?(extra = fun _ -> None) ~voting t twig =
       v
   and compute twig key =
     match (extra key : float option) with
-    | Some known ->
-      count_lookup "baseline.estimator.extra_hits";
-      known
+    | Some known -> known
     | None ->
     match Hashtbl.find_opt t.table key with
-    | Some count ->
-      count_lookup "baseline.estimator.summary_hits";
-      float_of_int count
+    | Some count -> float_of_int count
     | None ->
       let n = size twig in
-      if n <= 2 || (t.complete && n <= t.k) then begin
-        count_lookup "baseline.estimator.true_zeros";
-        0.0
-      end
+      if n <= 2 || (t.complete && n <= t.k) then 0.0
       else begin
-        count_lookup "baseline.estimator.decompositions";
         let ix = index twig in
         let removable = degree_one ix in
         let pairs = unordered_pairs removable in
@@ -224,20 +208,11 @@ let cover_with ~choose (ix : indexed) ~k =
 let small_estimate ?(extra = fun _ -> None) t twig =
   let key = encode twig in
   match extra key with
-  | Some known ->
-    count_lookup "baseline.estimator.extra_hits";
-    known
+  | Some known -> known
   | None -> (
     match Hashtbl.find_opt t.table key with
-    | Some c ->
-      count_lookup "baseline.estimator.summary_hits";
-      float_of_int c
-    | None ->
-      if t.complete then begin
-        count_lookup "baseline.estimator.true_zeros";
-        0.0
-      end
-      else recursive_estimate ~extra ~voting:false t twig)
+    | Some c -> float_of_int c
+    | None -> if t.complete then 0.0 else recursive_estimate ~extra ~voting:false t twig)
 
 let estimate_of_cover ?extra t blocks =
   let rec go acc = function
@@ -285,7 +260,7 @@ let fixed_size_estimate ?extra ?samples t twig =
 
 let estimate ?extra t scheme query =
   let twig = canonicalize (of_twig query) in
-  match (scheme : Estimator.scheme) with
+  match (scheme : Tl_core.Estimator.scheme) with
   | Recursive -> recursive_estimate ?extra ~voting:false t twig
   | Recursive_voting -> recursive_estimate ?extra ~voting:true t twig
   | Fixed_size -> fixed_size_estimate ?extra t twig

@@ -317,9 +317,115 @@ let test_interval_contains_extra_estimate () =
     true
     (interval.Estimator.low <= est +. 1e-9 && est <= interval.Estimator.high +. 1e-9)
 
+(* --- golden: votes and intervals bit for bit --------------------------------------------- *)
+
+(* A seeded document and seeded twigs of sizes 4-7, over a complete and a
+   pruned summary, with and without a deterministic feedback source.  Every
+   vote and interval bound is pinned as a hex float, so a rewrite of
+   [first_level_votes] or [estimate_interval] must reproduce them exactly. *)
+let golden_tree =
+  let rng = Tl_util.Xorshift.create 2006 in
+  let labels = [| "a"; "b"; "c"; "d" |] in
+  let rec build budget =
+    let l = labels.(Tl_util.Xorshift.int rng (Array.length labels)) in
+    let nkids = if budget <= 1 then 0 else Tl_util.Xorshift.int rng (min 4 budget) in
+    if nkids = 0 then TB.leaf l
+    else TB.node l (List.init nkids (fun _ -> build (max 1 ((budget - 1) / nkids))))
+  in
+  TB.build (TB.node "r" (List.init 6 (fun _ -> build 14)))
+
+let golden_extra key =
+  let h = ref 17 in
+  String.iter (fun c -> h := ((!h * 131) + Char.code c) land 0xFFFFFF) (Twig.Key.encode key);
+  if !h mod 7 = 0 then Some (0.5 +. float_of_int (!h mod 19)) else None
+
+let golden_lines () =
+  let complete = Summary.build ~k:3 golden_tree in
+  let pruned = Derivable.prune complete ~delta:0.5 in
+  let rng = Tl_util.Xorshift.create 14 in
+  let twigs =
+    List.concat_map
+      (fun size ->
+        List.filter_map (fun _ -> Tl_twig.Twig_enum.random_subtree rng golden_tree ~size) [ 1; 2; 3 ])
+      [ 4; 5; 6; 7 ]
+  in
+  let hex = Printf.sprintf "%h" in
+  List.concat_map
+    (fun (sname, s) ->
+      List.concat_map
+        (fun (xname, extra) ->
+          List.map
+            (fun twig ->
+              let votes = Estimator.first_level_votes ?extra s twig in
+              let i = Estimator.estimate_interval ?extra s twig in
+              Printf.sprintf "%s %s %s votes=[%s] interval=%s,%s,%s" sname xname (Twig.encode twig)
+                (String.concat "," (List.map hex votes))
+                (hex i.Estimator.low) (hex i.Estimator.best) (hex i.Estimator.high))
+            twigs)
+        [ ("plain", None); ("extra", Some golden_extra) ])
+    [ ("complete", complete); ("pruned", pruned) ]
+
+let golden_expected =
+  [
+    "complete plain 0(1,4,4) votes=[0x1p+1,0x1p+1,0x1p+1] interval=0x1p+1,0x1p+1,0x1p+1";
+    "complete plain 2(1(2(2))) votes=[0x1p+0] interval=0x1p+0,0x1p+0,0x1p+0";
+    "complete plain 2(1(1),2) votes=[0x1p+1] interval=0x1p+1,0x1p+1,0x1p+1";
+    "complete plain 1(1,2(2(1))) votes=[0x1.5555555555555p-1] interval=0x1.5555555555555p-1,0x1.5555555555555p-1,0x1.5555555555555p-1";
+    "complete plain 0(1,3,4,4) votes=[0x1p+1,0x1p+1,0x1p+1,0x1p+1,0x1p+1,0x1p+1] interval=0x1p+1,0x1p+1,0x1p+1";
+    "complete plain 2(1(1,2(2))) votes=[0x1p+0,0x1p+0,0x1p+0] interval=0x1p+0,0x1p+0,0x1p+0";
+    "complete plain 1(1,2(2(1(1)))) votes=[0x1.5555555555555p-1] interval=0x1.5555555555555p-1,0x1.5555555555555p-1,0x1.5555555555555p-1";
+    "complete plain 0(1,2(1,2),3) votes=[0x1p+1,0x1p+1,0x1p+1,0x1p+1,0x1.5555555555555p+0,0x1.5555555555555p+0] interval=0x1.5555555555555p+0,0x1.b9e6e0ccdd659p+0,0x1p+1";
+    "complete plain 0(1,2(1),3,4) votes=[0x1p+2,0x1p+2,0x1p+2,0x1p+2,0x1p+2,0x1p+2] interval=0x1p+2,0x1p+2,0x1p+2";
+    "complete plain 2(1(1,2(2(1(1))))) votes=[0x1.5555555555555p-1,0x1.5555555555555p-1,0x1.5555555555555p-1] interval=0x1.5555555555555p-1,0x1.5555555555555p-1,0x1.5555555555555p-1";
+    "complete plain 2(1(1,2(2(1(1))))) votes=[0x1.5555555555555p-1,0x1.5555555555555p-1,0x1.5555555555555p-1] interval=0x1.5555555555555p-1,0x1.5555555555555p-1,0x1.5555555555555p-1";
+    "complete plain 2(1(1,2(2(1(1))))) votes=[0x1.5555555555555p-1,0x1.5555555555555p-1,0x1.5555555555555p-1] interval=0x1.5555555555555p-1,0x1.5555555555555p-1,0x1.5555555555555p-1";
+    "complete extra 0(1,4,4) votes=[0x1.8p+0,0x1.8p+0,0x1p+1] interval=0x1.8p+0,0x1.aaaaaaaaaaaabp+0,0x1p+1";
+    "complete extra 2(1(2(2))) votes=[0x1p+0] interval=0x1p+0,0x1p+0,0x1p+0";
+    "complete extra 2(1(1),2) votes=[0x1p+1] interval=0x1p+1,0x1p+1,0x1p+1";
+    "complete extra 1(1,2(2(1))) votes=[0x1.6p+3] interval=0x1.6p+3,0x1.6p+3,0x1.6p+3";
+    "complete extra 0(1,3,4,4) votes=[0x1.8p+0,0x1.8p+0,0x1.8p+0,0x1.8p+0,0x1.8p+0,0x1p+1] interval=0x1.8p+0,0x1.c0ca4587e6b75p+0,0x1p+1";
+    "complete extra 2(1(1,2(2))) votes=[0x1.08p+4,0x1p-1,0x1p-1] interval=0x1p-1,0x1.7555555555555p+2,0x1.08p+4";
+    "complete extra 1(1,2(2(1(1)))) votes=[0x1.cp+1] interval=0x1.cp+1,0x1.cp+1,0x1.cp+1";
+    "complete extra 0(1,2(1,2),3) votes=[0x1.b5a5a5a5a5a5ap+3,0x1.b5a5a5a5a5a5ap+3,0x1.1707f8e9dacbcp+1,0x1.b5a5a5a5a5a5ap+3,0x1.3737373737373p+1,0x1.d74fed774fed7p+3] interval=0x1.1707f8e9dacbcp+1,0x1.91c0a7e9e8a5bp+2,0x1.d74fed774fed7p+3";
+    "complete extra 0(1,2(1),3,4) votes=[0x1.3p+3] interval=0x1.3p+3,0x1.3p+3,0x1.3p+3";
+    "complete extra 2(1(1,2(2(1(1))))) votes=[0x1.5p+1,0x1.cp+1,0x1.08p+3] interval=0x1.5p+1,0x1.8d453e591186cp+1,0x1.08p+3";
+    "complete extra 2(1(1,2(2(1(1))))) votes=[0x1.5p+1,0x1.cp+1,0x1.08p+3] interval=0x1.5p+1,0x1.8d453e591186cp+1,0x1.08p+3";
+    "complete extra 2(1(1,2(2(1(1))))) votes=[0x1.5p+1,0x1.cp+1,0x1.08p+3] interval=0x1.5p+1,0x1.8d453e591186cp+1,0x1.08p+3";
+    "pruned plain 0(1,4,4) votes=[0x1p+1,0x1p+1,0x1p+1] interval=0x1p+1,0x1p+1,0x1p+1";
+    "pruned plain 2(1(2(2))) votes=[0x1p-1] interval=0x1p-1,0x1p-1,0x1p-1";
+    "pruned plain 2(1(1),2) votes=[0x1p+1] interval=0x1p+1,0x1p+1,0x1p+1";
+    "pruned plain 1(1,2(2(1))) votes=[0x1.5555555555555p-2] interval=0x1.5555555555555p-2,0x1.5555555555555p-2,0x1.5555555555555p-2";
+    "pruned plain 0(1,3,4,4) votes=[0x1p+1,0x1p+1,0x1p+1,0x1p+1,0x1p+1,0x1p+1] interval=0x1p+1,0x1p+1,0x1p+1";
+    "pruned plain 2(1(1,2(2))) votes=[0x1p-1,0x1p-1,0x1p-1] interval=0x1p-1,0x1p-1,0x1p-1";
+    "pruned plain 1(1,2(2(1(1)))) votes=[0x1.5555555555555p-2] interval=0x1.5555555555555p-2,0x1.5555555555555p-2,0x1.5555555555555p-2";
+    "pruned plain 0(1,2(1,2),3) votes=[0x1.5555555555555p-1,0x1.5555555555555p-1,0x1.5555555555555p-1,0x1.5555555555555p-1,0x1.5555555555555p-1,0x1.5555555555555p-1] interval=0x1.5555555555555p-1,0x1.5555555555555p-1,0x1.5555555555555p-1";
+    "pruned plain 0(1,2(1),3,4) votes=[0x1.5555555555555p+1,0x1.5555555555555p+1,0x1.5555555555555p+1,0x1.5555555555555p+1,0x1.5555555555555p+1,0x1.5555555555555p+1] interval=0x1.5555555555555p+1,0x1.5555555555555p+1,0x1.5555555555555p+1";
+    "pruned plain 2(1(1,2(2(1(1))))) votes=[0x1.5555555555555p-2,0x1.5555555555555p-2,0x1.5555555555555p-2] interval=0x1.5555555555555p-2,0x1.5555555555555p-2,0x1.5555555555555p-2";
+    "pruned plain 2(1(1,2(2(1(1))))) votes=[0x1.5555555555555p-2,0x1.5555555555555p-2,0x1.5555555555555p-2] interval=0x1.5555555555555p-2,0x1.5555555555555p-2,0x1.5555555555555p-2";
+    "pruned plain 2(1(1,2(2(1(1))))) votes=[0x1.5555555555555p-2,0x1.5555555555555p-2,0x1.5555555555555p-2] interval=0x1.5555555555555p-2,0x1.5555555555555p-2,0x1.5555555555555p-2";
+    "pruned extra 0(1,4,4) votes=[0x1.a7b9611a7b961p-4,0x1.a7b9611a7b961p-4,0x0p+0] interval=0x0p+0,0x1.1a7b9611a7b96p-4,0x1.a7b9611a7b961p-4";
+    "pruned extra 2(1(2(2))) votes=[0x1p-1] interval=0x1p-1,0x1p-1,0x1p-1";
+    "pruned extra 2(1(1),2) votes=[0x1p+1] interval=0x1p+1,0x1p+1,0x1p+1";
+    "pruned extra 1(1,2(2(1))) votes=[0x1.6p+2] interval=0x1.6p+2,0x1.6p+2,0x1.6p+2";
+    "pruned extra 0(1,3,4,4) votes=[0x1.d38ec36cabae7p-8,0x1.d38ec36cabae5p-8,0x1.d38ec36cabae5p-8,0x1.d38ec36cabae5p-8,0x1.d38ec36cabae5p-8,0x0p+0] interval=0x0p+0,0x1.e4dfe71b5cb4dp-9,0x1.d38ec36cabae7p-8";
+    "pruned extra 2(1(1,2(2))) votes=[0x1.08p+3,0x1p-2,0x1p-2] interval=0x1p-2,0x1.7555555555555p+1,0x1.08p+3";
+    "pruned extra 1(1,2(2(1(1)))) votes=[0x1.cp+1] interval=0x1.cp+1,0x1.cp+1,0x1.cp+1";
+    "pruned extra 0(1,2(1,2),3) votes=[0x1.8c9e1e1e1e1e3p+6,0x1.8c9e1e1e1e1e2p+6,0x1.2878787878787p+2,0x1.8c9e1e1e1e1e3p+6,0x1.4aaaaaaaaaaabp+2,0x1.ab206f34206f4p+6] interval=0x1.2878787878787p+2,0x1.728ea7f9fda57p+4,0x1.ab206f34206f4p+6";
+    "pruned extra 0(1,2(1),3,4) votes=[0x1.3p+3] interval=0x1.3p+3,0x1.3p+3,0x1.3p+3";
+    "pruned extra 2(1(1,2(2(1(1))))) votes=[0x1.5p+2,0x1.cp+1,0x1.08p+3] interval=0x1.cp+1,0x1.fd453e591186cp+1,0x1.08p+3";
+    "pruned extra 2(1(1,2(2(1(1))))) votes=[0x1.5p+2,0x1.cp+1,0x1.08p+3] interval=0x1.cp+1,0x1.fd453e591186cp+1,0x1.08p+3";
+    "pruned extra 2(1(1,2(2(1(1))))) votes=[0x1.5p+2,0x1.cp+1,0x1.08p+3] interval=0x1.cp+1,0x1.fd453e591186cp+1,0x1.08p+3";
+  ]
+
+let test_votes_interval_golden () =
+  let complete = Summary.build ~k:3 golden_tree in
+  Alcotest.(check bool) "pruning dropped patterns" true
+    (Summary.entries (Derivable.prune complete ~delta:0.5) < Summary.entries complete);
+  Alcotest.(check (list string)) "votes and intervals" golden_expected (golden_lines ())
+
 (* --- differential: interned-key path == seed string path ---------------------------------- *)
 
-module Baseline = Tl_core.Baseline
+module Baseline = Tl_oracle.Baseline
 
 let bit_identical a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -510,6 +616,7 @@ let () =
           Alcotest.test_case "votes respect extra" `Quick test_votes_respect_extra;
           Alcotest.test_case "interval contains adaptive estimate" `Quick
             test_interval_contains_extra_estimate;
+          Alcotest.test_case "votes and interval golden" `Quick test_votes_interval_golden;
         ] );
       ( "differential",
         [

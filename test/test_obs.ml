@@ -13,10 +13,10 @@ module Pool = Tl_util.Pool
 (* --- monotonic clock (Timer's source since the wall-clock fix) ----------- *)
 
 let test_clock_monotonic () =
-  let a = Tl_obs.Clock.now_ns () in
-  let b = Tl_obs.Clock.now_ns () in
+  let a = Tl_util.Mono_clock.now_ns () in
+  let b = Tl_util.Mono_clock.now_ns () in
   Alcotest.(check bool) "now_ns never goes backwards" true (b >= a);
-  Alcotest.(check bool) "elapsed_ns is non-negative" true (Tl_obs.Clock.elapsed_ns ~since:a >= 0);
+  Alcotest.(check bool) "elapsed_ns is non-negative" true (Tl_util.Mono_clock.elapsed_ns ~since:a >= 0);
   let t0 = Tl_util.Timer.now () in
   let t1 = Tl_util.Timer.now () in
   Alcotest.(check bool) "Timer.now never goes backwards" true (t1 >= t0);
@@ -459,6 +459,39 @@ let prop_explain_matches_estimator =
       || Float.abs (trace.Explain.estimate -. direct) <= 1e-9 *. Float.abs direct)
       && List.length trace.Explain.order >= 1)
 
+(* Each distinct sub-twig is looked up once per evaluation, so the lookup
+   tally of a trace counts exactly its evaluated nodes — for every scheme,
+   including fixed-size covers whose steps share blocks and overlaps,
+   over complete and pruned summaries, with and without a feedback
+   source. *)
+let prop_explain_lookups_once_per_node =
+  let open QCheck2 in
+  let gen =
+    Gen.pair
+      (Gen.triple (Helpers.spec_gen ~max_nodes:30)
+         (Helpers.twig_gen ~nlabels:6 ~max_nodes:7 ())
+         (Gen.oneofl (Estimator.Fixed_size_voting 3 :: Estimator.all_schemes)))
+      (Gen.pair Gen.bool Gen.bool)
+  in
+  Helpers.qcheck_case ~count:80 ~name:"explain: lookup tally = evaluated nodes" gen
+    (fun ((spec, twig, scheme), (pruned, with_extra)) ->
+      let tree = Helpers.tree_of spec in
+      let summary = Summary.build ~k:3 tree in
+      let summary = if pruned then Tl_core.Derivable.prune summary ~delta:0.5 else summary in
+      let extra =
+        if with_extra then Some (fun enc -> if Hashtbl.hash enc mod 5 = 0 then Some 3.0 else None)
+        else None
+      in
+      let trace = Explain.run ?extra summary scheme twig in
+      let evaluated =
+        Hashtbl.fold
+          (fun _ (n : Explain.node) acc -> if n.Explain.source <> Explain.Not_evaluated then acc + 1 else acc)
+          trace.Explain.nodes 0
+      in
+      trace.Explain.summary_hits + trace.Explain.extra_hits + trace.Explain.true_zeros
+      + trace.Explain.decompositions
+      = evaluated)
+
 let test_explain_true_zero () =
   let tree = Helpers.tree_of golden_doc in
   let summary = Summary.build ~k:2 tree in
@@ -507,6 +540,7 @@ let () =
         [
           Alcotest.test_case "golden trace" `Quick test_explain_golden;
           prop_explain_matches_estimator;
+          prop_explain_lookups_once_per_node;
           Alcotest.test_case "true zero short-circuit" `Quick test_explain_true_zero;
         ] );
     ]
