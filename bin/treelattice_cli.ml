@@ -27,6 +27,9 @@ module Summary_io = Tl_lattice.Summary_io
 module Treelattice = Tl_core.Treelattice
 module Estimator = Tl_core.Estimator
 module Experiments = Tl_harness.Experiments
+module Registry = Tl_serve.Registry
+module Protocol = Tl_serve.Protocol
+module Server = Tl_serve.Server
 
 let load_tree path = Data_tree.of_xml (Tl_xml.Xml_dom.parse_file path)
 
@@ -394,36 +397,6 @@ let match_cmd =
 
 (* --- batch ------------------------------------------------------------------- *)
 
-(* One query line, in twig or XPath syntax, becomes a twig plus a
-   post-estimate transform carrying the anchored-XPath scaling, so every
-   line agrees exactly with what the estimate/xpath subcommands print
-   for it.  Shared by the batch and serve subcommands. *)
-let parse_query_line tl tree line =
-  let anchored_scale twig estimate =
-    let root_label = Data_tree.label tree (Data_tree.root tree) in
-    if twig.Tl_twig.Twig.label <> root_label then 0.0
-    else
-      let occurrences = Array.length (Data_tree.nodes_with_label tree root_label) in
-      estimate /. float_of_int (max 1 occurrences)
-  in
-  let from_xpath () =
-    Result.map
-      (fun (anchored, twig) -> (twig, if anchored then anchored_scale twig else fun e -> e))
-      (Treelattice.parse_xpath tl line)
-  in
-  let from_twig () =
-    Result.map (fun twig -> (twig, fun e -> e)) (Treelattice.parse_query tl line)
-  in
-  let first, second =
-    if String.length line > 0 && line.[0] = '/' then (from_xpath, from_twig)
-    else (from_twig, from_xpath)
-  in
-  (* When both syntaxes reject the line, diagnose with the parser the
-     line looks like it was written for. *)
-  match first () with
-  | Ok parsed -> Ok parsed
-  | Error msg -> ( match second () with Ok parsed -> Ok parsed | Error _ -> Error msg)
-
 let batch_cmd =
   let queries_arg =
     Arg.(
@@ -471,72 +444,65 @@ let batch_cmd =
         (List.mapi (fun i l -> (i + 1, String.trim l)) raw)
     in
     Tl_util.Pool.with_pool ~domains:(max 1 jobs) @@ fun pool ->
-    let tree = load_tree xml in
-    let tl =
-      let summary, ms = Tl_util.Timer.time_ms (fun () -> Summary.build ~pool ~k tree) in
-      Printf.eprintf "summary: built in %.0f ms\n%!" ms;
-      Treelattice.of_summary tree summary
+    let registry = Registry.create ~config:{ Registry.default_config with Registry.scheme; k } () in
+    let bundle =
+      let tree = load_tree xml in
+      let installed, ms =
+        Tl_util.Timer.time_ms (fun () ->
+            Registry.install_document ~pool registry ~name:"default" tree)
+      in
+      match installed with
+      | Ok bundle ->
+        Printf.eprintf "summary: built in %.0f ms\n%!" ms;
+        bundle
+      | Error msg ->
+        Printf.eprintf "batch: %s\n%!" msg;
+        exit 1
+    in
+    let answers, elapsed_ms =
+      Tl_util.Timer.time_ms (fun () ->
+          Protocol.answer ~pool registry (Array.of_list (List.map snd lines)))
     in
     (* A malformed line is diagnosed as file:line and skipped, so one typo
-       does not discard a whole workload; --strict restores fail-fast.
-       Either way the exit code reports the failure. *)
+       does not discard a whole workload; --strict restores fail-fast,
+       before anything is printed.  Either way the exit code reports the
+       failure. *)
     let skipped = ref 0 in
-    let parsed =
-      Array.of_list
-        (List.filter_map
-           (fun (lineno, line) ->
-             match parse_query_line tl tree line with
-             | Ok p -> Some (line, p)
-             | Error msg ->
+    let results =
+      List.concat
+        (List.mapi
+           (fun i (lineno, line) ->
+             match answers.(i) with
+             | Protocol.Estimate (e, _) -> [ (line, e) ]
+             | Protocol.Failed msg ->
                Printf.eprintf "%s:%d: bad query %S: %s\n%!" source lineno line msg;
                if strict then exit 1;
                incr skipped;
-               None)
+               [])
            lines)
     in
-    let engine = Tl_serve.Engine.of_treelattice ~scheme tl in
-    let estimates, elapsed_ms =
-      Tl_util.Timer.time_ms (fun () ->
-          Tl_serve.Engine.batch ~pool engine (Array.map (fun (_, (twig, _)) -> twig) parsed))
-    in
-    let results =
-      Array.mapi (fun i (line, (_, transform)) -> (line, transform estimates.(i))) parsed
-    in
+    let n = List.length results in
     (match format with
     | `Table ->
       print_string
         (Tl_util.Table.render ~header:[ "query"; "estimate" ]
-           (Array.to_list
-              (Array.map (fun (q, e) -> [ q; Printf.sprintf "%.2f" e ]) results)))
+           (List.map (fun (q, e) -> [ q; Printf.sprintf "%.2f" e ]) results))
     | `Json ->
-      let json_escape s =
-        let buf = Buffer.create (String.length s + 8) in
-        String.iter
-          (fun c ->
-            match c with
-            | '"' -> Buffer.add_string buf "\\\""
-            | '\\' -> Buffer.add_string buf "\\\\"
-            | '\n' -> Buffer.add_string buf "\\n"
-            | '\t' -> Buffer.add_string buf "\\t"
-            | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-            | c -> Buffer.add_char buf c)
-          s;
-        Buffer.contents buf
-      in
       print_string "{\n";
       Printf.printf "  \"schema_version\": 1,\n";
-      Printf.printf "  \"scheme\": \"%s\",\n" (json_escape (Estimator.scheme_name scheme));
-      Printf.printf "  \"queries\": %d,\n" (Array.length results);
+      Printf.printf "  \"scheme\": \"%s\",\n"
+        (Tl_util.Prelude.json_escape (Estimator.scheme_name scheme));
+      Printf.printf "  \"queries\": %d,\n" n;
       print_string "  \"results\": [\n";
-      Array.iteri
+      List.iteri
         (fun i (q, e) ->
-          Printf.printf "    {\"query\": \"%s\", \"estimate\": %.6g}%s\n" (json_escape q) e
-            (if i = Array.length results - 1 then "" else ","))
+          Printf.printf "    {\"query\": \"%s\", \"estimate\": %.6g}%s\n"
+            (Tl_util.Prelude.json_escape q) e
+            (if i = n - 1 then "" else ","))
         results;
       print_string "  ]\n}\n");
     (* Serving telemetry on stderr, so stdout stays machine-readable. *)
-    let stats = Tl_serve.Engine.stats engine in
-    let n = Array.length results in
+    let stats = Tl_serve.Engine.stats (Registry.engine bundle) in
     Printf.eprintf
       "batch: %d queries (%d plans compiled, %d cache hits) in %.0f ms across %d domain(s)\n%!" n
       stats.Tl_core.Plan_cache.misses
@@ -551,9 +517,12 @@ let batch_cmd =
     (Cmd.info "batch"
        ~doc:
          "Estimate a batch of twig/XPath queries through the compiled-plan cache: queries are \
-          deduplicated, compiled once each, and evaluated across -j domains.  Malformed lines \
-          are reported as FILE:LINE on stderr and skipped (the exit code still reports the \
-          failure); $(b,--strict) aborts at the first one instead.")
+          deduplicated, compiled once each, and evaluated across -j domains.  Lines follow the \
+          $(b,serve) routing rule with the document installed as the one dataset 'default': a \
+          'default:' prefix routes to it, and every other line, whatever its prefix, is a query \
+          for it.  A tag the document lacks estimates 0.  Malformed lines are reported as \
+          FILE:LINE on stderr and skipped (the exit code still reports the failure); \
+          $(b,--strict) aborts at the first one instead, before anything is printed.")
     Term.(
       const run $ obs_term $ xml_arg $ k_arg $ scheme_arg $ jobs_arg $ queries_arg $ format_arg
       $ strict_arg)
@@ -684,7 +653,6 @@ let serve_cmd =
       drift_xml audit_out linger listen server_port_file server_workers server_queue server_json =
     with_obs obs @@ fun () ->
     Tl_util.Pool.with_pool ~domains:(max 1 jobs) @@ fun pool ->
-    let module Registry = Tl_serve.Registry in
     let module Audit = Tl_serve.Audit in
     let module Monitor = Tl_serve.Monitor in
     let dataset_specs =
@@ -745,9 +713,6 @@ let serve_cmd =
         let result, ms = Tl_util.Timer.time_ms (fun () -> Registry.load registry name path) in
         installed name result ms)
       dataset_specs;
-    let default_name =
-      match xml with Some _ -> "default" | None -> fst (List.hd dataset_specs)
-    in
     let audit_route () =
       (* Recent records across every dataset, each line tagged with the
          dataset it was served from. *)
@@ -798,16 +763,16 @@ let serve_cmd =
     let server =
       Option.map
         (fun sport ->
-          Tl_serve.Server.start
+          Server.start
             ~config:
               {
-                Tl_serve.Server.default_config with
-                Tl_serve.Server.port = sport;
+                Server.default_config with
+                Server.port = sport;
                 workers = max 1 server_workers;
                 queue_capacity = max 1 server_queue;
                 json = server_json;
               }
-            ~pool ~default:default_name registry)
+            ~pool registry)
         listen
     in
     (* Idempotent finalizer: reached through [Fun.protect] on the normal
@@ -819,14 +784,13 @@ let serve_cmd =
       if not (Atomic.exchange finalized true) then begin
         Option.iter
           (fun s ->
-            let st = Tl_serve.Server.stats s in
-            Tl_serve.Server.stop s;
+            let st = Server.stats s in
+            Server.stop s;
             Printf.eprintf
               "serve: tcp front-end drained (%d connection(s), %d query(ies), %d batch(es), %d \
                shed)\n\
                %!"
-              st.Tl_serve.Server.connections st.Tl_serve.Server.queries
-              st.Tl_serve.Server.batches st.Tl_serve.Server.shed)
+              st.Server.connections st.Server.queries st.Server.batches st.Server.shed)
           server;
         Tl_obs.Exporter.stop exporter;
         Option.iter
@@ -892,7 +856,7 @@ let serve_cmd =
       "serve: listening on http://127.0.0.1:%d (/metrics /audit /healthz /datasets)\n%!" bound;
     Option.iter
       (fun s ->
-        let sport = Tl_serve.Server.port s in
+        let sport = Server.port s in
         Option.iter
           (fun path ->
             let oc = open_out path in
@@ -908,73 +872,28 @@ let serve_cmd =
         let ic = open_in path in
         (ic, fun () -> close_in ic)
     in
-    (* A 'NAME:' prefix routes the line to dataset NAME; anything else —
-       including prefixes that name no dataset — goes to the default. *)
-    let route line =
-      match String.index_opt line ':' with
-      | Some i
-        when i > 0 && Option.is_some (Registry.find registry (String.sub line 0 i)) ->
-        (String.sub line 0 i, String.trim (String.sub line (i + 1) (String.length line - i - 1)))
-      | _ -> (default_name, line)
-    in
     (* The serving loop: accumulate lines, evaluate on each blank line and
        at end of input (a final batch with no trailing newline still
        flushes), answer on stdout as `line TAB estimate` in input order.
-       Each flush groups its lines per routed dataset, serves every group
-       through that dataset's current bundle — a concurrent reload is
-       picked up at the next flush, never mid-batch — and scatters the
-       results back into input order. *)
-    let flush_batch pending =
-      let lines = List.rev pending in
-      let n_before = !served in
-      let groups : (string, (int * string * string) list ref) Hashtbl.t = Hashtbl.create 4 in
-      let group_order = ref [] in
-      List.iteri
-        (fun idx line ->
-          let ds, query = route line in
-          match Hashtbl.find_opt groups ds with
-          | Some cell -> cell := (idx, line, query) :: !cell
-          | None ->
-            Hashtbl.replace groups ds (ref [ (idx, line, query) ]);
-            group_order := ds :: !group_order)
-        lines;
-      let results : (int, string * float) Hashtbl.t = Hashtbl.create 16 in
-      List.iter
-        (fun ds ->
-          match Registry.find registry ds with
-          | None -> ()
-          | Some bundle ->
-            let parsed =
-              Array.of_list
-                (List.filter_map
-                   (fun (idx, line, query) ->
-                     match Registry.parse_query bundle query with
-                     | Ok p -> Some (idx, line, p)
-                     | Error msg ->
-                       Printf.eprintf "serve: bad query %S: %s\n%!" line msg;
-                       incr skipped;
-                       None)
-                   (List.rev !(Hashtbl.find groups ds)))
-            in
-            if Array.length parsed > 0 then begin
-              let estimates =
-                Registry.batch ~pool bundle (Array.map (fun (_, _, (twig, _)) -> twig) parsed)
-              in
-              Array.iteri
-                (fun i (idx, line, (_, transform)) ->
-                  Hashtbl.replace results idx (line, transform estimates.(i)))
-                parsed;
-              served := !served + Array.length parsed
-            end)
-        (List.rev !group_order);
-      List.iteri
-        (fun idx _ ->
-          match Hashtbl.find_opt results idx with
-          | Some (line, e) -> Printf.printf "%s\t%.2f\n" line e
-          | None -> ())
-        lines;
+       Routing and per-dataset pinning are [Protocol.answer]'s: a
+       concurrent reload is picked up at the next flush, never mid-batch. *)
+    let print_answers pending =
+      let lines = Array.of_list (List.rev pending) in
+      let answers = Protocol.answer ~pool registry lines in
+      let answered = ref 0 in
+      Array.iteri
+        (fun i answer ->
+          match answer with
+          | Protocol.Estimate (e, _) ->
+            Printf.printf "%s\t%.2f\n" lines.(i) e;
+            incr answered
+          | Protocol.Failed msg ->
+            Printf.eprintf "serve: bad query %S: %s\n%!" lines.(i) msg;
+            incr skipped)
+        answers;
       flush Stdlib.stdout;
-      if !served > n_before then incr batches
+      served := !served + !answered;
+      if !answered > 0 then incr batches
     in
     let check_sighup () =
       if Atomic.exchange sighup false then begin
@@ -985,11 +904,11 @@ let serve_cmd =
     let rec loop pending =
       check_sighup ();
       match input_line ic with
-      | exception End_of_file -> flush_batch pending
+      | exception End_of_file -> print_answers pending
       | line -> (
         let line = String.trim line in
         if line = "" then begin
-          flush_batch pending;
+          print_answers pending;
           loop []
         end
         else if line = "reload" || String.starts_with ~prefix:"reload " line then begin

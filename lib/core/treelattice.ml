@@ -44,21 +44,22 @@ let parse_xpath t query =
     | Ok twig -> Ok (xp.Tl_twig.Xpath.anchored, twig)
     | Error msg -> Error msg)
 
-let root_label t = Data_tree.label t.tree (Data_tree.root t.tree)
+(* Anchored: only matches rooted at THE root count.  Assuming matches
+   spread uniformly over root-labeled nodes (exact when the root tag occurs
+   once, the usual case for XML). *)
+let anchored_scale tree (twig : Twig.t) estimate =
+  let root_label = Data_tree.label tree (Data_tree.root tree) in
+  if twig.Twig.label <> root_label then 0.0
+  else
+    let occurrences = Array.length (Data_tree.nodes_with_label tree root_label) in
+    estimate /. float_of_int (max 1 occurrences)
 
 let estimate_xpath ?scheme t query =
   match parse_xpath t query with
   | Error _ as e -> e |> Result.map (fun _ -> 0.0)
   | Ok (anchored, twig) ->
-    if not anchored then Ok (estimate ?scheme t twig)
-    else if twig.Twig.label <> root_label t then Ok 0.0
-    else begin
-      (* Anchored: only matches rooted at THE root count.  Assuming matches
-         spread uniformly over root-labeled nodes (exact when the root tag
-         occurs once, the usual case for XML). *)
-      let occurrences = Array.length (Data_tree.nodes_with_label t.tree (root_label t)) in
-      Ok (estimate ?scheme t twig /. float_of_int (max 1 occurrences))
-    end
+    let estimate = estimate ?scheme t twig in
+    Ok (if anchored then anchored_scale t.tree twig estimate else estimate)
 
 let exact_xpath t query =
   match parse_xpath t query with

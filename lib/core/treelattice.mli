@@ -63,10 +63,15 @@ val parse_xpath : t -> string -> (bool * Tl_twig.Twig.t, string) result
     is the anchored flag ([/site/...] vs [//site/...]). *)
 
 val estimate_xpath : ?scheme:Estimator.scheme -> t -> string -> (float, string) result
-(** Estimate an XPath query.  Anchored queries whose first tag is not the
-    document root estimate to 0; anchored queries on the root tag divide by
-    the tag's occurrence count (exact whenever the root tag occurs once,
-    the normal case). *)
+(** Estimate an XPath query; an anchored one is scaled by
+    {!anchored_scale}. *)
+
+val anchored_scale : Tl_tree.Data_tree.t -> Tl_twig.Twig.t -> float -> float
+(** [anchored_scale tree twig estimate] turns the estimate of [twig]
+    anywhere in [tree] into the estimate of the anchored XPath query
+    [/twig]: 0 when [twig]'s root tag is not the document root's, and
+    otherwise [estimate] divided by the number of nodes carrying that tag
+    (exact whenever the root tag occurs once, the normal case). *)
 
 val exact_xpath : t -> string -> (int, string) result
 (** Exact count of an XPath query; anchoring is honoured exactly (matches

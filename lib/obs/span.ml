@@ -90,22 +90,12 @@ let finished () =
 
 (* --- JSONL sink --------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 4) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' -> Buffer.add_char buf '\\'; Buffer.add_char buf c
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let span_json s =
   Printf.sprintf
     {|{"name":"%s","path":"%s","domain":%d,"depth":%d,"start_ns":%d,"dur_ns":%d}|}
-    (json_escape s.name) (json_escape s.path) s.domain s.depth s.start_ns s.dur_ns
+    (Tl_util.Prelude.json_escape s.name)
+    (Tl_util.Prelude.json_escape s.path)
+    s.domain s.depth s.start_ns s.dur_ns
 
 let dump_jsonl oc =
   let spans = finished () in

@@ -176,25 +176,12 @@ let latency_histogram t =
     h_buckets = !h_buckets;
   }
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 4) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' ->
-        Buffer.add_char buf '\\';
-        Buffer.add_char buf c
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let record_json (r : record) =
   Printf.sprintf
     {|{"seq":%d,"key":%d,"scheme":"%s","estimate":%.6g,"latency_ns":%d,"plan_hit":%b,"feedback_hit":%b,"clamped":%b,"rel_error":%s}|}
-    r.seq r.key_id (json_escape r.scheme) r.estimate r.latency_ns r.plan_hit r.feedback_hit
-    r.clamped
+    r.seq r.key_id
+    (Tl_util.Prelude.json_escape r.scheme)
+    r.estimate r.latency_ns r.plan_hit r.feedback_hit r.clamped
     (if Float.is_nan r.rel_error then "null" else Printf.sprintf "%.6g" r.rel_error)
 
 let dump_jsonl ?limit t oc =

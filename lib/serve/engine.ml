@@ -10,9 +10,6 @@ type t = { scheme : Estimator.scheme; epoch : int; cache : Plan_cache.t }
 let create ?(scheme = Tl_core.Treelattice.default_scheme) ?plan_capacity ?(epoch = 0) summary =
   { scheme; epoch; cache = Plan_cache.create ?capacity:plan_capacity ~epoch summary }
 
-let of_treelattice ?scheme ?plan_capacity ?epoch tl =
-  create ?scheme ?plan_capacity ?epoch (Tl_core.Treelattice.summary tl)
-
 let scheme t = t.scheme
 
 let epoch t = t.epoch

@@ -36,9 +36,6 @@ val create :
     against this engine's summary: a plan can never be evaluated under a
     summary it was not built for. *)
 
-val of_treelattice :
-  ?scheme:Tl_core.Estimator.scheme -> ?plan_capacity:int -> ?epoch:int -> Tl_core.Treelattice.t -> t
-
 val scheme : t -> Tl_core.Estimator.scheme
 
 val epoch : t -> int

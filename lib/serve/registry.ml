@@ -360,19 +360,13 @@ let label_names b =
 let find_label b =
   match b.b_labels with Doc tree -> Data_tree.label_of_string tree | Names i -> Interner.find i
 
-(* Anchored-XPath scaling, as [Treelattice.estimate_xpath]: only matches
-   rooted at THE document root count, assuming matches spread uniformly
-   over root-labeled nodes.  A summary-only bundle has no document shape,
-   so it scales by the root tag's own level-1 occurrence count and cannot
-   check which tag the root is. *)
+(* Anchored-XPath scaling: a document-backed bundle scales exactly as
+   [Treelattice.estimate_xpath].  A summary-only bundle has no document
+   shape, so it scales by the root tag's own level-1 occurrence count and
+   cannot check which tag the root is. *)
 let anchored_scale b (twig : Twig.t) estimate =
   match b.b_labels with
-  | Doc tree ->
-    let root_label = Data_tree.label tree (Data_tree.root tree) in
-    if twig.Twig.label <> root_label then 0.0
-    else
-      let occurrences = Array.length (Data_tree.nodes_with_label tree root_label) in
-      estimate /. float_of_int (max 1 occurrences)
+  | Doc tree -> Treelattice.anchored_scale tree twig estimate
   | Names _ ->
     let occurrences =
       match Summary.find b.b_summary (Twig.leaf twig.Twig.label) with Some c -> c | None -> 0
@@ -467,19 +461,6 @@ let batch ?pool b twigs =
 
 (* --- /datasets ----------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let datasets_json t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
@@ -492,7 +473,8 @@ let datasets_json t =
         (Printf.sprintf
            "{\"name\": \"%s\", \"epoch\": %d, \"entries\": %d, \"k\": %d, \"kind\": \"%s\", \
             \"alarm\": %b}"
-           (json_escape b.b_name) b.b_epoch (Summary.entries b.b_summary) (Summary.k b.b_summary)
+           (Tl_util.Prelude.json_escape b.b_name)
+           b.b_epoch (Summary.entries b.b_summary) (Summary.k b.b_summary)
            (match b.b_labels with Doc _ -> "document" | Names _ -> "summary")
            drift_alarm))
     (list t);

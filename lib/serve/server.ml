@@ -12,15 +12,17 @@
    Robustness is admission-shaped rather than buffer-shaped: when the
    queue is full the acceptor answers [busy] and closes instead of
    queueing without bound, so memory under overload is
-   [workers + queue_capacity] connections, a constant chosen at startup.
-   Slow clients are bounded twice — per-socket read/write timeouts (the
-   [Exporter] EINTR/EAGAIN discipline) and a per-batch deadline that cuts
-   a connection trickling one batch forever. *)
+   [workers + queue_capacity] connections, a constant chosen at startup,
+   each holding at most one bounded line.  Slow clients are bounded twice
+   — per-socket read/write timeouts (the [Exporter] EINTR/EAGAIN
+   discipline) and a per-batch deadline that cuts a connection trickling
+   one batch forever.
+
+   Routing, pinning and the answer format live in [Protocol]. *)
 
 module Metrics = Tl_obs.Metrics
 module Clock = Tl_util.Mono_clock
 module Exporter = Tl_obs.Exporter
-module Estimator = Tl_core.Estimator
 
 type config = {
   host : string;
@@ -47,7 +49,6 @@ type t = {
   config : config;
   registry : Registry.t;
   pool : Tl_util.Pool.t option;
-  default_name : string option;
   sock : Unix.file_descr;
   bound_port : int;
   (* Admission queue.  [active] is one slot per worker holding the fd it
@@ -81,131 +82,15 @@ let stats t =
 
 let port t = t.bound_port
 
-(* --- responses ------------------------------------------------------------- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* [Printf.sprintf "%.17g"] without the format interpreter: the same
-   runtime primitive, so the text is byte-identical. *)
-external format_float : string -> float -> string = "caml_format_float"
-
-let render_error ~json buf msg =
-  if json then Buffer.add_string buf (Printf.sprintf "{\"error\":\"%s\"}\n" (json_escape msg))
-  else Buffer.add_string buf (Printf.sprintf "error\t%s\n" msg)
-
-let busy_line json = if json then "{\"busy\":true}\n" else "busy\toverloaded, retry later\n"
-
 (* --- batch evaluation ------------------------------------------------------ *)
 
-let default_name t =
-  match t.default_name with
-  | Some n -> Some n
-  | None -> Option.map Registry.name (Registry.default t.registry)
-
-(* Same routing rule as the stdin loop: a 'NAME:' prefix that names a
-   registered dataset routes there; everything else — including prefixes
-   that name nothing — is a bare query for the default dataset. *)
-let route t line =
-  match String.index_opt line ':' with
-  | Some i when i > 0 && Option.is_some (Registry.find t.registry (String.sub line 0 i)) ->
-    (Some (String.sub line 0 i), String.trim (String.sub line (i + 1) (String.length line - i - 1)))
-  | _ -> (default_name t, line)
-
-(* The bundle a routed group was served from, with its text-mode answer
-   suffix formatted once per group rather than once per line. *)
-type served = { epoch : int; dataset : string; scheme : string; suffix : string }
-
-let served ~epoch ~dataset ~scheme =
-  { epoch; dataset; scheme; suffix = Printf.sprintf "\t%d\t%s\t%s\n" epoch dataset scheme }
-
-(* One answered query line.  The estimate prints as %.17g so a client
-   reading it back gets the bit-exact float the engine computed; a text
-   answer is that estimate followed by its group's suffix. *)
-let render_ok ~json buf estimate s =
-  if json then
-    Buffer.add_string buf
-      (Printf.sprintf "{\"estimate\":%.17g,\"epoch\":%d,\"dataset\":\"%s\",\"scheme\":\"%s\"}\n"
-         estimate s.epoch (json_escape s.dataset) (json_escape s.scheme))
-  else begin
-    Buffer.add_string buf (format_float "%.17g" estimate);
-    Buffer.add_string buf s.suffix
-  end
-
-type answer = Estimate of float * served | Failed of string
-
-(* Serve one flushed batch: group lines by routed dataset, pin each
-   group's bundle for the whole flush (a concurrent reload lands between
-   flushes, never inside one — every response line carries the epoch it
-   was actually served from), evaluate each group through the full
-   serving stack, and render answers back in input order. *)
+(* Serve one flushed batch through the shared protocol and render it. *)
 let serve_batch t lines =
   let t0 = Clock.now_ns () in
-  let lines = Array.of_list lines in
-  let n = Array.length lines in
-  let groups : (string, (int * string) list ref) Hashtbl.t = Hashtbl.create 4 in
-  let group_order = ref [] in
-  let answers = Array.make n (Failed "internal: unanswered line") in
-  Array.iteri
-    (fun idx line ->
-      match route t line with
-      | None, _ -> answers.(idx) <- Failed "no dataset installed"
-      | Some ds, query -> (
-        match Hashtbl.find_opt groups ds with
-        | Some cell -> cell := (idx, query) :: !cell
-        | None ->
-          Hashtbl.replace groups ds (ref [ (idx, query) ]);
-          group_order := ds :: !group_order))
-    lines;
-  List.iter
-    (fun ds ->
-      let members = List.rev !(Hashtbl.find groups ds) in
-      match Registry.find t.registry ds with
-      | None -> List.iter (fun (idx, _) -> answers.(idx) <- Failed ("unknown dataset " ^ ds)) members
-      | Some bundle ->
-        let epoch = Registry.epoch bundle in
-        let scheme = Estimator.scheme_name (Engine.scheme (Registry.engine bundle)) in
-        let served = served ~epoch ~dataset:ds ~scheme in
-        let parsed =
-          Array.of_list
-            (List.filter_map
-               (fun (idx, query) ->
-                 match Registry.parse_query bundle query with
-                 | Ok p -> Some (idx, p)
-                 | Error msg ->
-                   answers.(idx) <- Failed msg;
-                   None)
-               members)
-        in
-        if Array.length parsed > 0 then begin
-          let estimates =
-            Registry.batch ?pool:t.pool bundle (Array.map (fun (_, (twig, _)) -> twig) parsed)
-          in
-          Array.iteri
-            (fun i (idx, (_, transform)) ->
-              answers.(idx) <- Estimate (transform estimates.(i), served))
-            parsed
-        end)
-    (List.rev !group_order);
-  let json = t.config.json in
+  let answers = Protocol.answer ?pool:t.pool t.registry lines in
+  let n = Array.length answers in
   let buf = Buffer.create (64 * (n + 1)) in
-  Array.iter
-    (function
-      | Estimate (estimate, s) -> render_ok ~json buf estimate s
-      | Failed msg -> render_error ~json buf msg)
-    answers;
+  Array.iter (Protocol.render ~json:t.config.json buf) answers;
   Buffer.add_char buf '\n';
   ignore (Atomic.fetch_and_add t.n_queries n);
   Metrics.add "server.queries" n;
@@ -216,21 +101,27 @@ let serve_batch t lines =
 
 (* --- connection handling --------------------------------------------------- *)
 
-type read_result = Line of string | Eof | Abort | Deadline
+type read_result = Line of string | Eof | Abort | Cut of string
 
 (* One growable receive buffer per connection.  Bytes [pos, len) are
    received but not yet framed, and [pos, scanned) of them are known to
    hold no newline, so each byte is searched once and a line is copied
-   once, however long the buffered tail. *)
+   once, however long the buffered tail.  [batch_start] is when the
+   batch now arriving began: its first unframed byte or framed line. *)
 type conn = {
   fd : Unix.file_descr;
   mutable buf : Bytes.t;
   mutable pos : int;
   mutable scanned : int;
   mutable len : int;
+  mutable batch_start : int option;
 }
 
 let read_size = 4096
+
+(* The longest line a connection may send; a longer one cuts it, so the
+   receive buffer stays bounded however the client frames its bytes. *)
+let max_line = 1 lsl 20
 
 let rec index_newline buf i stop =
   if i >= stop then -1 else if Bytes.get buf i = '\n' then i else index_newline buf (i + 1) stop
@@ -265,22 +156,32 @@ let compact conn =
   conn.pos <- 0;
   conn.len <- live
 
-let deadline_exceeded t = function
+let deadline_exceeded t conn =
+  match conn.batch_start with
   | None -> false
   | Some start -> Clock.elapsed_ns ~since:start > int_of_float (t.config.batch_deadline *. 1e9)
+
+let too_long = Cut (Printf.sprintf "line longer than %d bytes" max_line)
 
 (* One line, bounded.  [EAGAIN] here means the receive timeout expired
    with no bytes: an idle client between batches is fine and keeps
    waiting, but one inside a batch is checked against the batch deadline,
    and a draining server treats the lull as end of input so the pending
-   batch can be answered and the connection closed. *)
-let rec next_line t conn ~batch_start =
-  if deadline_exceeded t batch_start then Deadline
+   batch can be answered and the connection closed.  Bytes of a line not
+   yet framed already count as a batch under way, so a client trickling
+   a line that never ends meets the deadline too. *)
+let rec next_line t conn =
+  if deadline_exceeded t conn then
+    Cut (Printf.sprintf "batch deadline (%.1fs) exceeded" t.config.batch_deadline)
   else
     match index_newline conn.buf conn.scanned conn.len with
+    | i when i - conn.pos > max_line -> too_long
     | i when i >= 0 -> take_line conn ~stop:i ~next:(i + 1)
+    | _ when conn.len - conn.pos > max_line -> too_long
     | _ -> (
       conn.scanned <- conn.len;
+      if conn.pos < conn.len && conn.batch_start = None then
+        conn.batch_start <- Some (Clock.now_ns ());
       compact conn;
       match Unix.read conn.fd conn.buf conn.len (Bytes.length conn.buf - conn.len) with
       | 0 ->
@@ -288,45 +189,45 @@ let rec next_line t conn ~batch_start =
         if conn.pos = conn.len then Eof else take_line conn ~stop:conn.len ~next:conn.len
       | n ->
         conn.len <- conn.len + n;
-        next_line t conn ~batch_start
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> next_line t conn ~batch_start
+        next_line t conn
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> next_line t conn
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        if Atomic.get t.stopping then Eof else next_line t conn ~batch_start
+        if Atomic.get t.stopping then Eof else next_line t conn
       | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> Abort
       | exception Unix.Unix_error _ -> Abort)
 
 let serve_conn t fd =
-  let conn = { fd; buf = Bytes.create initial_size; pos = 0; scanned = 0; len = 0 } in
+  let conn =
+    { fd; buf = Bytes.create initial_size; pos = 0; scanned = 0; len = 0; batch_start = None }
+  in
   let pending = ref [] in
-  let batch_start = ref None in
   let flush_pending () =
+    conn.batch_start <- None;
     if !pending <> [] then begin
-      let payload = serve_batch t (List.rev !pending) in
+      let payload = serve_batch t (Array.of_list (List.rev !pending)) in
       pending := [];
-      batch_start := None;
       Exporter.write_all fd payload
     end
-    else begin
-      batch_start := None;
+    else
       (* An empty flush still acknowledges: one blank line. *)
       Exporter.write_all fd "\n"
-    end
   in
   let rec go () =
-    match next_line t conn ~batch_start:!batch_start with
+    match next_line t conn with
     | Line "" ->
       flush_pending ();
       go ()
-    | Line line when line.[0] = '#' -> go ()
+    | Line line when line.[0] = '#' ->
+      if !pending = [] then conn.batch_start <- None;
+      go ()
     | Line line ->
-      if !pending = [] then batch_start := Some (Clock.now_ns ());
+      if conn.batch_start = None then conn.batch_start <- Some (Clock.now_ns ());
       pending := line :: !pending;
       go ()
     | Eof -> if !pending <> [] then flush_pending ()
-    | Deadline ->
+    | Cut msg ->
       let buf = Buffer.create 64 in
-      render_error ~json:t.config.json buf
-        (Printf.sprintf "batch deadline (%.1fs) exceeded" t.config.batch_deadline);
+      Protocol.render_error ~json:t.config.json buf msg;
       Buffer.add_char buf '\n';
       Exporter.write_all fd (Buffer.contents buf)
     | Abort -> ()
@@ -349,7 +250,8 @@ let shed t fd =
   ignore (Atomic.fetch_and_add t.n_shed 1);
   Metrics.incr "server.shed_total";
   (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 0.2 with Unix.Unix_error _ -> ());
-  (try Exporter.write_all fd (busy_line t.config.json) with Exit | Unix.Unix_error _ -> ());
+  (try Exporter.write_all fd (Protocol.busy_line ~json:t.config.json)
+   with Exit | Unix.Unix_error _ -> ());
   close_quietly fd
 
 let worker_loop t wid =
@@ -428,7 +330,7 @@ let describe_metrics =
      Metrics.set_gauge "server.queue_depth" 0;
      Metrics.set_gauge "server.active_connections" 0)
 
-let start ?(config = default_config) ?pool ?default registry =
+let start ?(config = default_config) ?pool registry =
   Lazy.force Exporter.ignore_sigpipe;
   Lazy.force describe_metrics;
   let config =
@@ -457,7 +359,6 @@ let start ?(config = default_config) ?pool ?default registry =
       config;
       registry;
       pool;
-      default_name = default;
       sock;
       bound_port;
       qmutex = Mutex.create ();

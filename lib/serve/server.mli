@@ -1,15 +1,13 @@
 (** A loopback-bindable TCP query front-end with admission control.
 
-    The server speaks the same newline-delimited protocol as the stdin
+    The server frames the same newline-delimited input as the stdin
     serving loop: one [[NAME:]twig-or-xpath] query per line, a blank line
     flushes the pending batch, ['#'] lines are skipped.  Each flushed
-    query answers with one line — tab-separated
-    [ESTIMATE EPOCH DATASET SCHEME] (estimate printed with [%.17g] so it
-    round-trips bit-exactly), or [error<TAB>message] for a line that does
-    not parse — followed by one blank line terminating the batch, in
-    input order.  With [config.json] each answer is instead a one-line
-    JSON object ([{"estimate":..,"epoch":..,"dataset":..,"scheme":..}] or
-    [{"error":..}]).
+    batch is answered by {!Protocol.answer} and rendered as {!Protocol}
+    documents the wire format — one answer line per query, in input
+    order ([config.json] selects JSON objects), then one blank line
+    terminating the batch.  This module owns only the sockets, framing,
+    admission and drain.
 
     Robustness is structural, not best-effort:
 
@@ -24,7 +22,13 @@
     - {b deadlines and timeouts}: every socket read and write is bounded
       by [socket_timeout] following the {!Tl_obs.Exporter} EINTR/EAGAIN
       discipline, and a batch that trickles in for longer than
-      [batch_deadline] is answered with an error and cut;
+      [batch_deadline] — counted from its first byte, framed or not — is
+      answered with an error and cut;
+    - {b bounded lines}: a line longer than 1 MiB is answered with one
+      error line and the connection is closed, so a client that never
+      sends a newline cannot grow the receive buffer without limit.
+      Worker occupancy is not bounded: a client idle between batches, or
+      sending only ['#'] lines, holds its worker until it closes;
     - {b graceful drain}: {!stop} stops accepting, busy-sheds the
       queued-but-unstarted connections, half-closes the receive side of
       every in-flight connection so its current batch finishes {e on the
@@ -32,9 +36,9 @@
       threads.
 
     Hot reload keeps working mid-connection: each flush pins the routed
-    dataset's current bundle for the whole batch, so a concurrent
-    {!Registry.swap} is picked up between batches and every response line
-    carries the epoch it was served from.
+    datasets' current bundles for the whole batch ({!Protocol.answer}),
+    so a concurrent {!Registry.swap} is picked up between batches and
+    every response line carries the epoch it was served from.
 
     Metrics: [tl_server_connections], [tl_server_queries_total],
     [tl_server_batches_total], [tl_server_shed_total],
@@ -58,13 +62,11 @@ val default_config : config
 type t
 
 val start :
-  ?config:config -> ?pool:Tl_util.Pool.t -> ?default:string -> Registry.t -> t
+  ?config:config -> ?pool:Tl_util.Pool.t -> Registry.t -> t
 (** Bind, spawn the acceptor and worker threads, and start serving
-    queries against [registry].  Queries with a [NAME:] prefix naming a
-    registered dataset route to it; everything else routes to [default]
-    (when given) or the registry's first-installed dataset.  Raises
-    [Unix.Unix_error] when the bind fails.  The optional [pool] is used
-    for batch evaluation exactly as in {!Registry.batch}. *)
+    queries against [registry], routed by {!Protocol.answer}'s rule.
+    Raises [Unix.Unix_error] when the bind fails.  The optional [pool] is
+    used for batch evaluation exactly as in {!Registry.batch}. *)
 
 val port : t -> int
 (** The actual bound port — useful with [port = 0]. *)

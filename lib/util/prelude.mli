@@ -26,6 +26,12 @@ val clamp : lo:'a -> hi:'a -> 'a -> 'a
 val string_contains : needle:string -> string -> bool
 (** Naive substring search; the empty needle is found everywhere. *)
 
+val json_escape : string -> string
+(** The body of a JSON string literal for [s] (no surrounding quotes):
+    ['"'] and ['\\'] are backslash-escaped, newline, tab and carriage
+    return use their short escapes, and every other byte below 0x20 is
+    written as [\u00XX].  Bytes from 0x20 up pass through unchanged. *)
+
 val word_bytes : int
 (** Bytes per OCaml heap word on this (64-bit) platform. *)
 

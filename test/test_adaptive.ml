@@ -123,7 +123,7 @@ let prop_concurrent_feedback_invariants =
       Array.iteri
         (fun i tw -> if i mod 3 = 0 then Adaptive.observe adaptive tw ((Twig.size tw * 3) + 1))
         batch;
-      let engine = Engine.of_treelattice tl in
+      let engine = Engine.create (Treelattice.summary tl) in
       let lookups = Atomic.make 0 in
       let extra key =
         Atomic.incr lookups;

@@ -215,7 +215,7 @@ let test_parallel_adaptive_feedback_stress () =
   List.iter
     (fun q -> ignore (Tl_core.Adaptive.observe_exact adaptive (Helpers.twig_of_string tree q)))
     observed;
-  let engine = Engine.of_treelattice tl in
+  let engine = Engine.create (Tl_core.Treelattice.summary tl) in
   let batch =
     let distinct = Array.of_list (List.map (Helpers.twig_of_string tree) (observed @ fig11_queries)) in
     Array.init 88 (fun i -> distinct.(i mod Array.length distinct))
@@ -486,7 +486,7 @@ let test_monitor_engine_golden () =
 let test_engine_estimate_single () =
   let tree = Helpers.tree_of Helpers.fig11_spec in
   let tl = Tl_core.Treelattice.build ~k:3 tree in
-  let engine = Engine.of_treelattice tl in
+  let engine = Engine.create (Tl_core.Treelattice.summary tl) in
   let twig = Helpers.twig_of_string tree "a(b(c,d))" in
   check_bits "engine = front-end" (Tl_core.Treelattice.estimate tl twig) (Engine.estimate engine twig);
   check_bits "scheme override" 4.0 (Engine.estimate ~scheme:Estimator.Recursive engine twig)

@@ -9,6 +9,7 @@ module Treelattice = Tl_core.Treelattice
 module Metrics = Tl_obs.Metrics
 module Registry = Tl_serve.Registry
 module Server = Tl_serve.Server
+module Protocol = Tl_serve.Protocol
 
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -130,6 +131,33 @@ let test_routing_and_unknown_prefix () =
     (* A prefix naming no dataset is part of the query for the default. *)
     Alcotest.(check string) "unknown prefix falls through" "d" ds2
   | _ -> Alcotest.fail "expected two ok answers"
+
+(* Clients choose the prefixes, so a batch of distinct prefixes that name
+   no dataset must cost one lookup each, not a scan of every prefix seen
+   before it: 100,000 of them answer well within the bound (a quadratic
+   scan takes minutes), every line routed to the default dataset. *)
+let test_many_unknown_prefixes () =
+  let t, _, _ = registry_with_fig11 () in
+  let n = 100_000 in
+  with_server t @@ fun server ->
+  with_client (Server.port server) @@ fun _fd ic oc ->
+  let buf = Buffer.create (16 * n) in
+  for i = 1 to n do
+    Buffer.add_string buf (Printf.sprintf "x%d:a(b)\n" i)
+  done;
+  Buffer.add_char buf '\n';
+  let t0 = Unix.gettimeofday () in
+  send oc (Buffer.contents buf);
+  let answers = read_batch ic in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "one answer per line" n (List.length answers);
+  List.iter
+    (fun line ->
+      match parse_answer line with
+      | Ok (_, _, ds, _) -> Alcotest.(check string) "routed to the default" "d" ds
+      | Err _ -> ())
+    answers;
+  Alcotest.(check bool) (Printf.sprintf "answered in %.2f s < 10 s" elapsed) true (elapsed < 10.0)
 
 let test_json_mode () =
   let t, _, _ = registry_with_fig11 () in
@@ -274,6 +302,126 @@ let test_framing_matches_one_write () =
   let huge = "a(" ^ String.make 100_000 ' ' ^ "b)\nb(c,d)\n\n" ^ long in
   ignore (same_as_one_write ~pause:0.0005 "100 KB line" huge (chunks 1000 huge))
 
+(* A client trickling one byte every 50 ms and never a newline: the batch
+   deadline counts from the first unframed byte, so the connection is cut
+   with the deadline error instead of holding its worker forever. *)
+let test_trickled_line_meets_deadline () =
+  let t, _, _ = registry_with_fig11 () in
+  let config = { Server.default_config with Server.batch_deadline = 0.3 } in
+  with_server ~config t @@ fun server ->
+  let fd = connect (Server.port server) in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  let got = Buffer.create 64 and chunk = Bytes.create 4096 in
+  let rec trickle () =
+    if Unix.gettimeofday () -. t0 < 2.0 then begin
+      (try ignore (Unix.write_substring fd "a" 0 1) with Unix.Unix_error _ -> ());
+      match Unix.select [ fd ] [] [] 0.05 with
+      | [], _, _ -> trickle ()
+      | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | n ->
+          Buffer.add_subbytes got chunk 0 n;
+          if not (String.contains (Buffer.contents got) '\n') then trickle ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ())
+    end
+  in
+  trickle ();
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "deadline error line (got %S after %.2f s)" (Buffer.contents got) elapsed)
+    true
+    (String.starts_with ~prefix:"error\tbatch deadline (0.3s) exceeded\n" (Buffer.contents got));
+  Alcotest.(check bool) "cut within 2 s" true (elapsed < 2.0)
+
+(* A 2 MiB line without a newline is cut with one error line once it
+   passes the 1 MiB cap; the server keeps answering fresh connections. *)
+let test_overlong_line_cut () =
+  let t, _, _ = registry_with_fig11 () in
+  with_server t @@ fun server ->
+  let port = Server.port server in
+  let fd = connect port in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) @@ fun () ->
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let line = String.make (2 lsl 20) 'a' ^ "\n\n" in
+  let writer =
+    Thread.create
+      (fun () ->
+        let rec write off =
+          if off < String.length line then
+            match Unix.write_substring fd line off (String.length line - off) with
+            | n -> write (off + n)
+            | exception Unix.Unix_error _ -> ()
+        in
+        write 0)
+      ()
+  in
+  let got = Buffer.create 64 and chunk = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes got chunk 0 n;
+      drain ()
+    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  drain ();
+  Thread.join writer;
+  Alcotest.(check string) "one error line, then close" "error\tline longer than 1048576 bytes\n\n"
+    (Buffer.contents got);
+  Alcotest.(check bool) "a fresh connection still answers" true
+    (contains ~needle:"\td\t" (exchange port [ "a(b,b)\n\n" ]))
+
+(* --- one request path ------------------------------------------------------- *)
+
+(* The same mixed lines answered in process by [Protocol.answer] and over
+   TCP: routed, unrouted, an unknown prefix, a malformed line, a tag the
+   dataset lacks, and anchored XPath on both datasets.  Every estimate
+   agrees to the bit, every error to the message. *)
+let test_protocol_answer_matches_tcp () =
+  let t, _, _ = registry_with_fig11 () in
+  let regular = Helpers.tree_of Helpers.regular_spec in
+  ignore (Result.get_ok (Registry.install_document t ~name:"r" regular));
+  let lines =
+    [|
+      "r:x(y,z)"; "a(b(c,d))"; "nosuch:a(b,b)"; "not a query((("; "a(b(ghost))"; "/a/b[c]";
+      "r:/r/x/y"; "/b/c";
+    |]
+  in
+  let direct = Protocol.answer t lines in
+  let over_tcp =
+    with_server t @@ fun server ->
+    with_client (Server.port server) @@ fun _fd ic oc ->
+    send oc (String.concat "\n" (Array.to_list lines) ^ "\n\n");
+    Array.of_list (List.map parse_answer (read_batch ic))
+  in
+  Alcotest.(check int) "one answer per line" (Array.length lines) (Array.length over_tcp);
+  let routed = [| "r"; "d"; "d"; ""; "d"; "d"; "r"; "d" |] in
+  Array.iteri
+    (fun i line ->
+      match (direct.(i), over_tcp.(i)) with
+      | Protocol.Estimate (e, s), Ok (e', epoch, ds, scheme) ->
+        Alcotest.(check string) (line ^ ": bits") (Printf.sprintf "%h" e) (Printf.sprintf "%h" e');
+        Alcotest.(check int) (line ^ ": epoch") s.Protocol.epoch epoch;
+        Alcotest.(check string) (line ^ ": dataset") s.Protocol.dataset ds;
+        Alcotest.(check string) (line ^ ": routed") routed.(i) ds;
+        Alcotest.(check string) (line ^ ": scheme") s.Protocol.scheme scheme
+      | Protocol.Failed msg, Err msg' ->
+        Alcotest.(check string) (line ^ ": error") msg msg';
+        Alcotest.(check string) (line ^ ": malformed") "" routed.(i)
+      | _ -> Alcotest.failf "%s: in-process and TCP answers disagree in kind" line)
+    lines;
+  (* Tags the dataset lacks answer exactly 0; the anchored XPath whose root
+     tag is not the document root's answers 0 too. *)
+  List.iter
+    (fun i ->
+      match direct.(i) with
+      | Protocol.Estimate (e, _) ->
+        Alcotest.(check bool) (lines.(i) ^ " = 0") true (same_float e 0.0)
+      | Protocol.Failed msg -> Alcotest.failf "%s: %s" lines.(i) msg)
+    [ 2; 4; 7 ]
+
 (* --- tags the dataset lacks -------------------------------------------------- *)
 
 (* Two connections alternate fresh unknown tags with known queries: every
@@ -409,6 +557,10 @@ let () =
           Alcotest.test_case "batching, errors, eof flush" `Quick test_protocol_basics;
           Alcotest.test_case "routing and unknown prefix" `Quick test_routing_and_unknown_prefix;
           Alcotest.test_case "json mode" `Quick test_json_mode;
+          Alcotest.test_case "100k unknown prefixes answer in linear time" `Quick
+            test_many_unknown_prefixes;
+          Alcotest.test_case "Protocol.answer = TCP answers, bit for bit" `Quick
+            test_protocol_answer_matches_tcp;
         ] );
       ( "concurrency",
         [
@@ -419,6 +571,10 @@ let () =
         [
           Alcotest.test_case "split, crlf, unterminated and 100 KB lines = one write" `Quick
             test_framing_matches_one_write;
+          Alcotest.test_case "a trickled line without newline meets the deadline" `Quick
+            test_trickled_line_meets_deadline;
+          Alcotest.test_case "a 2 MiB line is cut, the server keeps serving" `Quick
+            test_overlong_line_cut;
         ] );
       ( "novel_tags",
         [

@@ -261,6 +261,27 @@ let test_misc () =
   Alcotest.(check int) "clamp high" 9 (Prelude.clamp ~lo:0 ~hi:9 99);
   Alcotest.(check int) "clamp pass" 5 (Prelude.clamp ~lo:0 ~hi:9 5)
 
+(* Every control byte, the quote and the backslash: the short escapes for
+   newline, tab and carriage return, [\u00XX] for the rest. *)
+let test_json_escape () =
+  for code = 0 to 0x1f do
+    let expected =
+      match Char.chr code with
+      | '\n' -> "\\n"
+      | '\t' -> "\\t"
+      | '\r' -> "\\r"
+      | _ -> Printf.sprintf "\\u%04x" code
+    in
+    Alcotest.(check string) (Printf.sprintf "byte 0x%02x" code) expected
+      (Prelude.json_escape (String.make 1 (Char.chr code)))
+  done;
+  Alcotest.(check string) "quote" "\\\"" (Prelude.json_escape "\"");
+  Alcotest.(check string) "backslash" "\\\\" (Prelude.json_escape "\\");
+  Alcotest.(check string) "plain bytes pass through" "a b~\x7f\xc3\xa9"
+    (Prelude.json_escape "a b~\x7f\xc3\xa9");
+  Alcotest.(check string) "mixed" "say \\\"hi\\\"\\t\\u0001\\\\"
+    (Prelude.json_escape "say \"hi\"\t\001\\")
+
 (* --- Table ------------------------------------------------------------------- *)
 
 let test_table_render () =
@@ -474,6 +495,7 @@ let () =
           Alcotest.test_case "insert_sorted" `Quick test_list_insert_sorted;
           Alcotest.test_case "take/unique" `Quick test_list_take_unique;
           Alcotest.test_case "misc" `Quick test_misc;
+          Alcotest.test_case "json_escape" `Quick test_json_escape;
         ] );
       ( "table",
         [
