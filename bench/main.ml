@@ -255,6 +255,63 @@ let run_estimation_latency suite =
       end)
     (Experiments.envs suite)
 
+(* --- plan compilation: cold vs warm keys ---------------------------------- *)
+
+(* One voting compile per workload query, timed on cold keys and on warm
+   ones.  Every key caches its leaf-pair splits, so only the first compile
+   of a sub-twig rebuilds it.  A cold sweep therefore needs keys no compile
+   has touched: each rep shifts the summary's and the queries' labels into
+   a range of their own before timing.  The warm sweep then recompiles the
+   same queries.  Best of reps, in microseconds per compile. *)
+let compile_reps = 5
+
+let run_compile_latency suite =
+  print_string
+    (Tl_harness.Report.section "compile-latency"
+       "fig9 workload: recursive+voting Plan.compile on cold vs warm keys (us/compile)");
+  let scheme = Estimator.Recursive_voting in
+  let next_base = ref 1_000_000 in
+  List.iter
+    (fun env ->
+      let name = env.Experiments.dataset.Dataset.name in
+      let patterns = Summary.fold (fun tw c acc -> (tw, c) :: acc) env.Experiments.summary [] in
+      let queries =
+        Array.concat (List.map (fun (wl : Workload.t) -> wl.Workload.queries) env.Experiments.workloads)
+        |> Array.map (fun (q : Workload.query) -> q.Workload.twig)
+      in
+      let nq = Array.length queries in
+      if nq > 0 then begin
+        let cold_best = ref infinity and warm_best = ref infinity in
+        let cold_total = ref 0.0 and warm_total = ref 0.0 in
+        for _ = 1 to compile_reps do
+          let base = !next_base in
+          next_base := base + 100_000;
+          let shift = Twig.map_labels (fun l -> l + base) in
+          let summary =
+            Summary.of_patterns ~k:(Summary.k env.Experiments.summary)
+              ~complete:(Summary.is_complete env.Experiments.summary)
+              (List.map (fun (tw, c) -> (shift tw, c)) patterns)
+          in
+          let shifted = Array.map shift queries in
+          let sweep () = Array.iter (fun q -> ignore (Estimator.Plan.compile summary scheme q)) shifted in
+          Gc.full_major ();
+          let (), cold_ms = Timer.time_ms sweep in
+          let (), warm_ms = Timer.time_ms sweep in
+          cold_best := Float.min !cold_best cold_ms;
+          warm_best := Float.min !warm_best warm_ms;
+          cold_total := !cold_total +. cold_ms;
+          warm_total := !warm_total +. warm_ms
+        done;
+        let us ms = ms *. 1000.0 /. float_of_int nq in
+        Printf.printf "  %-8s cold keys %8.1f us   warm keys %8.1f us   (%d queries)\n%!" name
+          (us !cold_best) (us !warm_best) nq;
+        record ~experiment:"compile-latency" ~dataset:name ~metric:"compile_us/cold_keys"
+          ~value:(us !cold_best) ~unit:"us" ~ms:!cold_total;
+        record ~experiment:"compile-latency" ~dataset:name ~metric:"compile_us/warm_keys"
+          ~value:(us !warm_best) ~unit:"us" ~ms:!warm_total
+      end)
+    (Experiments.envs suite)
+
 (* --- batched throughput: compiled plans vs the per-call keyed path ------- *)
 
 module Engine = Tl_serve.Engine
@@ -977,6 +1034,7 @@ let () =
     suite
   in
   run_estimation_latency suite;
+  run_compile_latency suite;
   if not (has_flag "--skip-micro") then run_micro ();
   write_json ~jobs ~target:config.Experiments.target ~quick "BENCH_summary.json";
   Option.iter (write_json ~jobs ~target:config.Experiments.target ~quick) (arg_value "--json");

@@ -19,7 +19,7 @@ end)
    links or lose counts; serving batches evaluate across a domain pool
    with [Engine.batch ~extra:(lookup a)], which makes the safe-by-default
    contract non-negotiable.  A single mutex (rather than Plan_cache's
-   mutex-plus-DLS split) is the right shape here: a feedback lookup is a
+   mutex-plus-shards split) is the right shape here: a feedback lookup is a
    handful of int hashes and pointer splices, far too little work to
    amortize per-domain shards, and the critical section never allocates
    on the hit path. *)

@@ -49,23 +49,6 @@ type probe = {
     block:string -> overlap:string option -> twins:int -> num:float -> den:float -> acc:float -> unit;
 }
 
-(* --- leaf pairs for recursive decomposition (Fig. 4) -------------------- *)
-
-let unordered_pairs xs =
-  let rec go = function
-    | [] -> []
-    | x :: rest -> List.map (fun y -> (x, y)) rest @ go rest
-  in
-  go xs
-
-(* All node indices except the listed ones. *)
-let nodes_except (ix : Twig.indexed) dropped =
-  let n = Array.length ix.node_labels in
-  let rec collect i acc =
-    if i < 0 then acc else collect (i - 1) (if List.mem i dropped then acc else i :: acc)
-  in
-  collect (n - 1) []
-
 (* --- fixed-size decomposition (Fig. 5) --------------------------------- *)
 
 (* Build one cover of [twig]'s nodes by k-subtrees.  [choose] picks among
@@ -140,7 +123,19 @@ let cover twig ~k =
    rebuilds), summary lookups, the zero rules, twin-edge detection, and —
    for the fixed-size schemes — the whole cover construction including the
    rng draws.  What remains at eval time is a lazy sweep over int-indexed
-   slots.  [estimate] is compile-then-eval, so this is the only evaluator. *)
+   slots.  [estimate] is compile-then-eval, so this is the only evaluator.
+
+   The recursive schemes take each decomposed key's leaf-pair splits from
+   the key itself ([Twig.Key.split]): a split's [remove]/[induced]
+   rebuilds run, and its sub-twigs are interned, only the first time the
+   process decomposes that twig.  A compile over known sub-twigs thus
+   takes no lock and rebuilds nothing.  Splits depend on the twig alone,
+   not on the summary, so they live with the keys, process-wide, and
+   survive reloads.  Compiling every serve-churn pool query over the four
+   20k-element documents interns 38k keys (27 MB of live heap, with their
+   index views) and builds 285k splits on them (15 MB more).  Plans, by
+   contrast, belong to a summary and are cached per bundle ([Plan_cache]),
+   whose per-domain shards die with the bundle. *)
 module Plan = struct
   type pair = { s1 : int; s2 : int; scap : int; twin : bool }
 
@@ -174,9 +169,13 @@ module Plan = struct
 
   let slot_count t = Array.length t.slots
 
-  (* Theorem 1 on one leaf pair whose two sides are nonzero.  Twin edges
-     (same-labeled siblings) take the injectivity correction [- e1]; see
-     [compile]. *)
+  (* Theorem 1 on one leaf pair whose two sides are nonzero.  Theorem 1
+     assumes the two grown edges are distinct.  When u and u' are
+     same-labeled siblings (a [twin] split) they are the SAME edge type,
+     and matches must place them injectively: a T-intersection match with
+     i candidate children yields i*(i-1) ordered pairs, not i^2, so the
+     estimate gets an injectivity correction of -E[i] per match:
+     sigma(T) ~ sigma(T1)^2/sigma(Tcap) - sigma(T1). *)
   let[@inline] theorem1 ~twin e1 e2 ec =
     if ec <= 0.0 then 0.0
     else if twin then Float.max 0.0 ((e1 *. e2 /. ec) -. e1)
@@ -354,43 +353,16 @@ module Plan = struct
              <= k of a complete summary. *)
           if n <= 2 || (complete && n <= k) then push key Zero
           else begin
-            let twig = Twig.Key.twig key in
-            let ix = Twig.index twig in
-            let removable = Twig.degree_one ix in
-            let pairs = unordered_pairs removable in
-            let pairs =
-              match (voting, pairs) with
-              | true, _ | _, [] -> pairs
-              | false, first :: _ -> [ first ]
-            in
+            let npairs = if voting then Twig.Key.leaf_pairs key else 1 in
             let compiled =
-              List.map
-                (fun (u, u') ->
-                  (* [remove] = [induced] of all-but-one for a degree-1
-                     node, minus the node-list and connectivity-check
-                     overhead. *)
-                  let t1 = Twig.remove ix u in
-                  let t2 = Twig.remove ix u' in
-                  let cap = Twig.induced ix (nodes_except ix [ u; u' ]) in
-                  (* Theorem 1 assumes the two grown edges are distinct.
-                     When u and u' are same-labeled siblings they are the
-                     SAME edge type, and matches must place them
-                     injectively: a T-intersection match with i candidate
-                     children yields i*(i-1) ordered pairs, not i^2, so the
-                     estimate gets an injectivity correction of -E[i] per
-                     match: sigma(T) ~ sigma(T1)^2/sigma(Tcap) - sigma(T1). *)
-                  let twin =
-                    ix.parents.(u) >= 0
-                    && ix.parents.(u) = ix.parents.(u')
-                    && ix.node_labels.(u) = ix.node_labels.(u')
-                  in
-                  let s1 = comp_rec ~voting (Twig.key t1) in
-                  let s2 = comp_rec ~voting (Twig.key t2) in
-                  let scap = comp_rec ~voting (Twig.key cap) in
-                  { s1; s2; scap; twin })
-                pairs
+              Array.init npairs (fun i ->
+                  let sp = Twig.Key.split key i in
+                  let s1 = comp_rec ~voting sp.t1 in
+                  let s2 = comp_rec ~voting sp.t2 in
+                  let scap = comp_rec ~voting sp.cap in
+                  { s1; s2; scap; twin = sp.twin })
             in
-            push key (Decompose (Array.of_list compiled))
+            push key (Decompose compiled)
           end)
     in
     (* A fixed-size block or overlap: stored, or a true zero under a

@@ -21,7 +21,8 @@ module Tbl = Hashtbl.Make (K)
    it is dropped wholesale and refills from the shared table.  A shard may
    briefly serve a plan the shared LRU has already evicted — harmless,
    since plans are immutable and eviction is about memory, not
-   correctness. *)
+   correctness.  The shards belong to the cache ([Tl_util.Per_domain]),
+   so they are collected with it. *)
 type shard = { stbl : Estimator.Plan.t Tbl.t; mutable local_hits : int }
 
 type t = {
@@ -30,34 +31,20 @@ type t = {
   shard_capacity : int;
   mutex : Mutex.t;
   shared : Estimator.Plan.t Shared.t;  (* guarded by [mutex] *)
-  mutable shards : shard list;  (* guarded by [mutex]; for stats only *)
-  shard_key : shard Domain.DLS.key;
+  shards : shard Tl_util.Per_domain.t;
 }
 
 let create ?(capacity = 1024) ?shard_capacity ?(epoch = 0) summary =
   if capacity < 1 then invalid_arg "Plan_cache.create: capacity must be >= 1";
   let shard_capacity = match shard_capacity with Some c -> max 1 c | None -> capacity in
-  let mutex = Mutex.create () in
-  let rec t =
-    lazy
-      {
-        summary;
-        epoch;
-        shard_capacity;
-        mutex;
-        shared = Shared.create ~capacity;
-        shards = [];
-        shard_key =
-          Domain.DLS.new_key (fun () ->
-              let shard = { stbl = Tbl.create 64; local_hits = 0 } in
-              let t = Lazy.force t in
-              Mutex.lock t.mutex;
-              t.shards <- shard :: t.shards;
-              Mutex.unlock t.mutex;
-              shard);
-      }
-  in
-  Lazy.force t
+  {
+    summary;
+    epoch;
+    shard_capacity;
+    mutex = Mutex.create ();
+    shared = Shared.create ~capacity;
+    shards = Tl_util.Per_domain.create (fun () -> { stbl = Tbl.create 64; local_hits = 0 });
+  }
 
 let summary t = t.summary
 
@@ -85,7 +72,7 @@ let add_shared t k plan =
 
 let plan_key_hit t scheme key =
   let k = (scheme, Twig.Key.id key) in
-  let shard = Domain.DLS.get t.shard_key in
+  let shard = Tl_util.Per_domain.get t.shards in
   match Tbl.find_opt shard.stbl k with
   | Some plan ->
     shard.local_hits <- shard.local_hits + 1;
@@ -135,9 +122,11 @@ type stats = {
 }
 
 let stats t =
+  let local_hits =
+    List.fold_left (fun acc (sh : shard) -> acc + sh.local_hits) 0 (Tl_util.Per_domain.all t.shards)
+  in
   Mutex.lock t.mutex;
   let s = Shared.stats t.shared in
-  let local_hits = List.fold_left (fun acc (sh : shard) -> acc + sh.local_hits) 0 t.shards in
   Mutex.unlock t.mutex;
   {
     size = s.Shared.size;

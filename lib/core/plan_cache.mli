@@ -6,8 +6,10 @@
     The cache interns plans in a shared {!Tl_util.Lru} table — the same
     O(1) eviction structure behind {!Adaptive}, so the two adaptive
     layers age their state under one coordinated policy — and fronts it
-    with a private per-domain read-through shard in domain-local storage:
-    a warm lookup is one unsynchronized hash probe, no lock, no atomics.
+    with a private per-domain read-through shard that the cache owns
+    ({!Tl_util.Per_domain}): a warm lookup is one atomic load and one
+    unsynchronized hash probe, no lock.  The shards are collected with the
+    cache, so a replaced serving bundle frees every plan it compiled.
 
     Hits, misses (= compiles), and evictions are published to
     {!Tl_obs.Metrics} under [plan_cache.*]. *)

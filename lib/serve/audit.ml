@@ -1,12 +1,13 @@
 (* The serving audit log: who asked what, what we answered, how long it
    took, and how much of the machinery was reused.
 
-   Same sharding discipline as [Tl_obs.Metrics] and [Plan_cache]: every
-   domain that records gets a private ring buffer held in domain-local
-   storage, registered once in a global list so the read-side views can
-   merge them.  Recording is therefore lock-free — one DLS read, one
-   atomic fetch-and-add for the global sequence number, one array store —
-   and safe from inside a [Tl_util.Pool] batch evaluation.  Merging is
+   Same sharding discipline as [Plan_cache]: every domain that records
+   gets a private ring buffer, held by the log itself
+   ([Tl_util.Per_domain]) so the read-side views can merge the rings and
+   the rings are collected with the log's bundle.  Recording is therefore
+   lock-free — one shard lookup, one atomic fetch-and-add for the
+   sequence number, one array store — and safe from inside a
+   [Tl_util.Pool] batch evaluation.  Merging is
    deterministic: records carry unique sequence numbers, every view sorts
    on them, and the multiset of records (modulo the nondeterministic
    sequence/latency fields) from a parallel batch equals the sequential
@@ -49,9 +50,7 @@ type shard = { ring : record array; mutable filled : int; mutable next : int }
 type t = {
   capacity : int;  (* per shard *)
   seq : int Atomic.t;
-  mutex : Mutex.t;
-  mutable shards : shard list;  (* guarded by [mutex]; read-side only *)
-  shard_key : shard Domain.DLS.key;
+  shards : shard Tl_util.Per_domain.t;
 }
 
 let () =
@@ -60,31 +59,19 @@ let () =
 
 let create ?(capacity = 4096) () =
   if capacity < 1 then invalid_arg "Audit.create: capacity must be >= 1";
-  let mutex = Mutex.create () in
-  let rec t =
-    lazy
-      {
-        capacity;
-        seq = Atomic.make 0;
-        mutex;
-        shards = [];
-        shard_key =
-          Domain.DLS.new_key (fun () ->
-              let shard = { ring = Array.make capacity dummy; filled = 0; next = 0 } in
-              let t = Lazy.force t in
-              Mutex.lock t.mutex;
-              t.shards <- shard :: t.shards;
-              Mutex.unlock t.mutex;
-              shard);
-      }
-  in
-  Lazy.force t
+  {
+    capacity;
+    seq = Atomic.make 0;
+    shards =
+      Tl_util.Per_domain.create (fun () ->
+          { ring = Array.make capacity dummy; filled = 0; next = 0 });
+  }
 
 let capacity t = t.capacity
 
 let record t ~key_id ~scheme ~estimate ~latency_ns ~plan_hit ~feedback_hit ~clamped ~rel_error =
   let seq = Atomic.fetch_and_add t.seq 1 in
-  let s = Domain.DLS.get t.shard_key in
+  let s = Tl_util.Per_domain.get t.shards in
   s.ring.(s.next) <-
     { seq; key_id; scheme; estimate; latency_ns; plan_hit; feedback_hit; clamped; rel_error };
   s.next <- (s.next + 1) mod t.capacity;
@@ -96,11 +83,7 @@ let total t = Atomic.get t.seq
 
 (* --- read-side views ----------------------------------------------------- *)
 
-let all_shards t =
-  Mutex.lock t.mutex;
-  let s = t.shards in
-  Mutex.unlock t.mutex;
-  s
+let all_shards t = Tl_util.Per_domain.all t.shards
 
 (* Snapshot every shard's live records.  Concurrent writers may overwrite
    a slot mid-read; records are immutable values, so a read sees either

@@ -6,10 +6,11 @@
     answered, whether the non-finite clamp fired, and (when the drift
     {!Monitor} sampled the query) the measured relative error.
 
-    Recording follows the {!Tl_obs.Metrics} sharding discipline: each
-    domain writes into a private ring in domain-local storage (one DLS
-    read, one atomic fetch-and-add for the admission sequence number, one
-    array store — no locks), so audit instrumentation is safe and cheap
+    Recording is sharded per domain: each domain writes into a private
+    ring that the log owns ({!Tl_util.Per_domain}; one shard lookup, one
+    atomic fetch-and-add for the admission sequence number, one array
+    store — no locks), so the rings die with the log, and audit
+    instrumentation is safe and cheap
     inside a pooled batch evaluation.  The read-side views merge all
     shards and sort on the unique sequence numbers; the record multiset
     of a parallel batch equals the sequential one (modulo the

@@ -18,6 +18,8 @@ let summary t = Plan_cache.summary t.cache
 
 let stats t = Plan_cache.stats t.cache
 
+let plan_cache t = t.cache
+
 (* An estimate is a count: always finite and >= 0.  A division-by-zero
    inside a decomposition is short-circuited by the estimator itself, but
    an [?extra] feedback source is caller code and can inject nan/infinity

@@ -117,3 +117,6 @@ val batch_values :
 
 val stats : t -> Tl_core.Plan_cache.stats
 (** The underlying plan-cache counters (see {!Tl_core.Plan_cache.stats}). *)
+
+val plan_cache : t -> Tl_core.Plan_cache.t
+(** The engine's own plan cache, for inspecting what it holds. *)

@@ -83,10 +83,13 @@ let create ?(config = default_config) () =
   Metrics.describe "registry.alarm" "Latching reload-failure alarm (1 = a reload has failed)";
   Metrics.describe "registry.parse_cache_hits" "Query lines answered from a bundle's parse cache";
   Metrics.describe "registry.parse_cache_misses" "Query lines parsed (and, when valid, cached)";
+  Metrics.describe "twig.leaf_pairs_built"
+    "Leaf-pair splits built for decomposition (each is built once per process, then reused)";
   Metrics.set_gauge "registry.datasets" 0;
   Metrics.set_gauge "registry.alarm" 0;
   Metrics.add "registry.parse_cache_hits" 0;
   Metrics.add "registry.parse_cache_misses" 0;
+  Metrics.add "twig.leaf_pairs_built" 0;
   {
     cfg = config;
     mutex = Mutex.create ();

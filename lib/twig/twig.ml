@@ -16,7 +16,12 @@ and key = {
   ix : indexed option Atomic.t;
       (** node-indexed view of [twig], built at most once per distinct
           canonical twig (reps are pinned, so this is a pure value) *)
+  splits : split array Atomic.t;
+      (** leaf-pair splits, one slot per pair, each built on first use;
+          [[||]] until the first is built, [unbuilt] in unbuilt slots *)
 }
+
+and split = { t1 : key; t2 : key; cap : key; twin : bool }
 
 and indexed = {
   twig : t;
@@ -108,7 +113,17 @@ let intern_key ~skey ~kid_keys ~label ~candidate =
         | None -> { label; children = List.map (fun kk -> kk.twig) kid_keys; memo = Unknown }
       in
       let ksize = List.fold_left (fun acc kk -> acc + kk.ksize) 1 kid_keys in
-      let k = { id; enc; khash = Hashtbl.hash enc; twig = rep; ksize; ix = Atomic.make None } in
+      let k =
+        {
+          id;
+          enc;
+          khash = Hashtbl.hash enc;
+          twig = rep;
+          ksize;
+          ix = Atomic.make None;
+          splits = Atomic.make [||];
+        }
+      in
       rep.memo <- Self k;
       if id >= Array.length !registry_keys then begin
         let bigger = Array.make (max 64 (2 * Array.length !registry_keys)) k in
@@ -154,34 +169,6 @@ let compare a b =
 let equal a b = (key_of a).id = (key_of b).id
 
 let hash t = (key_of t).khash
-
-module Key = struct
-  type twig = t
-
-  type nonrec t = key
-
-  let of_twig = key_of
-
-  let twig k = k.twig
-
-  let id k = k.id
-
-  let encode k = k.enc
-
-  let equal a b = a.id = b.id
-
-  let compare a b = if a.id = b.id then 0 else String.compare a.enc b.enc
-
-  let hash k = k.khash
-
-  let size k = k.ksize
-
-  let interned () =
-    Mutex.lock registry_lock;
-    let n = Node_interner.size registry in
-    Mutex.unlock registry_lock;
-    n
-end
 
 let key = key_of
 
@@ -412,3 +399,110 @@ let grow ix i l =
     end
   in
   canonicalize (build 0)
+
+(* --- leaf-pair splits ---------------------------------------------------- *)
+
+(* The recursive decomposition (Fig. 4) splits a twig T on a pair (u, v) of
+   degree-1 nodes into T-u, T-v and their common part T-u-v.  A split
+   depends only on the canonical twig, so it is cached on the twig's key
+   next to [ix]: an array with one slot per pair, in [leaf_pairs] order.
+   Each slot is built on first use — a caller that needs only the first
+   pair never builds the others — and published by copy-and-CAS, so a
+   reader sees either the old array or the new one, and a racing builder
+   of the same slot publishes (or adopts) an equivalent value.  Pairs
+   build one at a time, as the decomposition reaches them, so the order
+   in which sub-twig keys are interned (and hence their ids) does not
+   depend on what was cached before. *)
+
+(* Marks an unbuilt slot; compared physically, never returned. *)
+let unbuilt =
+  let twig = { label = -1; children = []; memo = Unknown } in
+  let key =
+    {
+      id = -1;
+      enc = "";
+      khash = 0;
+      twig;
+      ksize = 0;
+      ix = Atomic.make None;
+      splits = Atomic.make [||];
+    }
+  in
+  { t1 = key; t2 = key; cap = key; twin = false }
+
+(* Unordered pairs of degree-1 nodes: (d0,d1), (d0,d2), ..., (d1,d2), ...
+   Twigs below three nodes have no split (T-u-v would be empty). *)
+let leaf_pairs ix =
+  if Array.length ix.node_labels < 3 then []
+  else
+    let rec go = function [] -> [] | x :: rest -> List.map (fun y -> (x, y)) rest @ go rest in
+    go (degree_one ix)
+
+let build_split ix (u, v) =
+  let n = Array.length ix.node_labels in
+  let t1 = remove ix u in
+  let t2 = remove ix v in
+  let cap = induced ix (List.filter (fun i -> i <> u && i <> v) (List.init n Fun.id)) in
+  (* Same-labeled siblings grow the same edge type twice, which the
+     estimator's Theorem 1 step corrects for. *)
+  let twin =
+    ix.parents.(u) >= 0 && ix.parents.(u) = ix.parents.(v) && ix.node_labels.(u) = ix.node_labels.(v)
+  in
+  { t1 = key_of t1; t2 = key_of t2; cap = key_of cap; twin }
+
+let rec publish_split k i npairs s =
+  let cur = Atomic.get k.splits in
+  if Array.length cur > 0 && cur.(i) != unbuilt then cur.(i)
+  else begin
+    let next = if Array.length cur = 0 then Array.make npairs unbuilt else Array.copy cur in
+    next.(i) <- s;
+    if Atomic.compare_and_set k.splits cur next then s else publish_split k i npairs s
+  end
+
+let split_slow k i =
+  let ix = index k.twig in
+  let pairs = leaf_pairs ix in
+  let npairs = List.length pairs in
+  if i < 0 || i >= npairs then invalid_arg "Twig.Key.split: pair index out of bounds";
+  let s = build_split ix (List.nth pairs i) in
+  Tl_obs.Metrics.incr "twig.leaf_pairs_built";
+  publish_split k i npairs s
+
+module Key = struct
+  type twig = t
+
+  type nonrec t = key
+
+  type nonrec split = split = { t1 : t; t2 : t; cap : t; twin : bool }
+
+  let of_twig = key_of
+
+  let twig k = k.twig
+
+  let id k = k.id
+
+  let encode k = k.enc
+
+  let equal a b = a.id = b.id
+
+  let compare a b = if a.id = b.id then 0 else String.compare a.enc b.enc
+
+  let hash k = k.khash
+
+  let size k = k.ksize
+
+  let interned () =
+    Mutex.lock registry_lock;
+    let n = Node_interner.size registry in
+    Mutex.unlock registry_lock;
+    n
+
+  let leaf_pairs k =
+    let built = Atomic.get k.splits in
+    if Array.length built > 0 then Array.length built
+    else List.length (leaf_pairs (index k.twig))
+
+  let split k i =
+    let built = Atomic.get k.splits in
+    if i >= 0 && i < Array.length built && built.(i) != unbuilt then built.(i) else split_slow k i
+end

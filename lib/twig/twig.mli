@@ -111,6 +111,35 @@ module Key : sig
 
   val interned : unit -> int
   (** Number of distinct canonical twigs interned so far, process-wide. *)
+
+  (** {3 Leaf-pair splits}
+
+      The recursive decomposition (Fig. 4) splits a twig [T] on a pair
+      [(u, v)] of degree-1 nodes ({!degree_one}) into [T-u], [T-v] and
+      their common part [T-u-v].  A split depends only on the canonical
+      twig, so each key caches its splits: a split is built on the first
+      {!split} call for its pair, once per process (racing builders
+      agree), and every later call is one atomic load.  Building one pair
+      never builds another.  Each build adds 1 to the
+      [twig.leaf_pairs_built] counter. *)
+
+  type split = private {
+    t1 : t;  (** [T-u] *)
+    t2 : t;  (** [T-v] *)
+    cap : t;  (** [T-u-v], the part the two sides share *)
+    twin : bool;
+        (** [u] and [v] are same-labeled siblings: both sides grow the
+            same edge type, which Theorem 1 must place injectively *)
+  }
+
+  val leaf_pairs : t -> int
+  (** Number of splits: [L(L-1)/2] for [L] degree-1 nodes, and 0 for
+      twigs below three nodes, whose [T-u-v] would be empty. *)
+
+  val split : t -> int -> split
+  (** [split k i] is the [i]-th split, with pairs ordered as
+      [(d0,d1); (d0,d2); ...; (d1,d2); ...] over [degree_one] = [d0; d1; ...].
+      Raises [Invalid_argument] unless [0 <= i < leaf_pairs k]. *)
 end
 
 val key : t -> Key.t

@@ -492,6 +492,141 @@ let prop_bit_identical_on_pruned_summary =
       done;
       !ok)
 
+(* --- split cache: cold and warm keys ------------------------------------------------------ *)
+
+module Plan = Estimator.Plan
+
+let counter name =
+  Option.value ~default:0 (List.assoc_opt name (Tl_obs.Metrics.snapshot ()).Tl_obs.Metrics.counters)
+
+(* The golden document's summary and queries with every label shifted to
+   a range no key has used yet, so the first compile meets only cold keys.
+   [complete ()] and [pruned ()] make a fresh summary (a new stamp) on each
+   call; [pruned] drops stored patterns, which sends the fixed-size
+   schemes through the recursive fallback too. *)
+type world = { complete : unit -> Summary.t; pruned : unit -> Summary.t; queries : Twig.t list }
+
+let next_base = ref 1_000_000
+
+let fresh_world () =
+  let base = !next_base in
+  next_base := base + 1_000;
+  let shift = Twig.map_labels (fun l -> l + base) in
+  let stored = Summary.build ~k:3 golden_tree in
+  let patterns = Summary.fold (fun tw c acc -> (shift tw, c) :: acc) stored [] in
+  let kept = List.filteri (fun i _ -> i mod 5 <> 0) patterns in
+  let small = List.filter (fun (tw, _) -> Twig.size tw <= 2) patterns in
+  let rng = Tl_util.Xorshift.create 19 in
+  let queries =
+    List.filter_map
+      (fun size -> Option.map shift (Tl_twig.Twig_enum.random_subtree rng golden_tree ~size))
+      [ 4; 5; 6; 7; 8; 8; 6 ]
+  in
+  {
+    complete = (fun () -> Summary.of_patterns ~k:3 ~complete:true patterns);
+    pruned = (fun () -> Summary.of_patterns ~k:3 ~complete:false (small @ kept));
+    queries;
+  }
+
+let eval_all ?extra summary scheme queries =
+  List.map (fun q -> Plan.eval ?extra (Plan.compile (summary ()) scheme q)) queries
+
+let test_cold_warm_bit_identical () =
+  List.iter
+    (fun scheme ->
+      List.iter
+        (fun (pruned, extra) ->
+          let w = fresh_world () in
+          let summary = if pruned then w.pruned else w.complete in
+          let b0 = counter "twig.leaf_pairs_built" in
+          let cold = eval_all ?extra summary scheme w.queries in
+          let b1 = counter "twig.leaf_pairs_built" in
+          let warm = eval_all ?extra summary scheme w.queries in
+          let name = Printf.sprintf "%s pruned=%b extra=%b" (Estimator.scheme_name scheme) pruned (extra <> None) in
+          (match scheme with
+          | Estimator.Recursive | Recursive_voting ->
+            Alcotest.(check bool) (name ^ ": the first compile built splits") true (b1 > b0)
+          | Fixed_size | Fixed_size_voting _ -> ());
+          Alcotest.(check int) (name ^ ": the warm compile built none") b1 (counter "twig.leaf_pairs_built");
+          List.iter2
+            (fun c w -> Alcotest.(check bool) (Printf.sprintf "%s: %h = %h" name c w) true (bit_identical c w))
+            cold warm)
+        [ (false, None); (false, Some golden_extra); (true, None); (true, Some golden_extra) ])
+    Estimator.all_schemes
+
+let test_recursive_builds_first_split_only () =
+  let w = fresh_world () in
+  let summary = w.complete () in
+  let q = List.nth w.queries 4 in
+  let b0 = counter "twig.leaf_pairs_built" and d0 = counter "estimator.decompositions" in
+  ignore (Estimator.estimate summary Recursive q);
+  let decomposed = counter "estimator.decompositions" - d0 in
+  Alcotest.(check bool) "the query decomposes" true (decomposed > 0);
+  Alcotest.(check int) "one split per decomposed key" decomposed (counter "twig.leaf_pairs_built" - b0)
+
+let test_warm_recompile_interns_nothing () =
+  List.iter
+    (fun scheme ->
+      let w = fresh_world () in
+      ignore (eval_all w.pruned scheme w.queries);
+      let keys = Twig.Key.interned () and built = counter "twig.leaf_pairs_built" in
+      ignore (eval_all w.pruned scheme w.queries);
+      let name = Estimator.scheme_name scheme in
+      Alcotest.(check int) (name ^ ": keys interned by a warm recompile") 0 (Twig.Key.interned () - keys);
+      Alcotest.(check int) (name ^ ": splits built by a warm recompile") built (counter "twig.leaf_pairs_built"))
+    Estimator.all_schemes
+
+(* A plan as evaluation observes it: slot count, value bits, and every
+   probe event in order (lookups, pairs, covers), which names each slot's
+   key and resolution. *)
+let plan_trace plan =
+  let events = ref [] in
+  let push e = events := e :: !events in
+  let probe =
+    {
+      Estimator.on_lookup =
+        (fun enc r ->
+          push
+            (match r with
+            | Estimator.Found_extra v -> Printf.sprintf "%s extra %h" enc v
+            | Found_summary c -> Printf.sprintf "%s stored %d" enc c
+            | Assumed_zero -> enc ^ " zero"
+            | Decomposing -> enc ^ " decompose"));
+      on_pair =
+        (fun ~parent ~t1 ~t2 ~cap ~twin ~e1:_ ~e2:_ ~ec:_ ~value ->
+          push (Printf.sprintf "%s = %s * %s / %s twin=%b %h" parent t1 t2 cap twin value));
+      on_value = (fun enc v -> push (Printf.sprintf "%s value %h" enc v));
+      on_cover_step =
+        (fun ~block ~overlap ~twins ~num:_ ~den:_ ~acc ->
+          push (Printf.sprintf "%s / %s twins=%d %h" block (Option.value overlap ~default:"-") twins acc));
+    }
+  in
+  let v = Plan.eval ~probe plan in
+  (Plan.slot_count plan, Int64.bits_of_float v, List.rev !events)
+
+let test_concurrent_cold_compiles_agree () =
+  List.iter
+    (fun scheme ->
+      let w = fresh_world () in
+      let summary = w.pruned () in
+      let ready = Atomic.make 0 in
+      let compile_all () =
+        Atomic.incr ready;
+        while Atomic.get ready < 4 do
+          Domain.cpu_relax ()
+        done;
+        List.map (fun q -> plan_trace (Plan.compile summary scheme q)) w.queries
+      in
+      let results = List.map Domain.join (List.init 4 (fun _ -> Domain.spawn compile_all)) in
+      let sequential = List.map (fun q -> plan_trace (Plan.compile summary scheme q)) w.queries in
+      List.iteri
+        (fun d r ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: domain %d plans = warm sequential plans" (Estimator.scheme_name scheme) d)
+            true (r = sequential))
+        results)
+    Estimator.all_schemes
+
 (* --- Treelattice front-end --------------------------------------------------------------- *)
 
 let test_frontend_basics () =
@@ -622,6 +757,16 @@ let () =
         [
           prop_bit_identical_to_seed_path;
           prop_bit_identical_on_pruned_summary;
+        ] );
+      ( "split_cache",
+        [
+          Alcotest.test_case "cold and warm keys compile bit-identically" `Quick
+            test_cold_warm_bit_identical;
+          Alcotest.test_case "recursive builds only the first split" `Quick
+            test_recursive_builds_first_split_only;
+          Alcotest.test_case "warm recompile interns no key" `Quick test_warm_recompile_interns_nothing;
+          Alcotest.test_case "four domains compile cold keys alike" `Quick
+            test_concurrent_cold_compiles_agree;
         ] );
       ( "frontend",
         [

@@ -127,6 +127,54 @@ let test_swap_failure_keeps_old_and_latches_alarm () =
   | Error msg -> Alcotest.(check bool) "unknown dataset named" true (contains ~needle:"nope" msg));
   Alcotest.(check bool) "failure re-latches" true (Registry.alarm t)
 
+let test_counters_materialized_at_zero () =
+  Metrics.reset ();
+  ignore (Registry.create ());
+  let prom = Metrics.to_prometheus (Metrics.snapshot ()) in
+  List.iter
+    (fun line -> Alcotest.(check bool) line true (contains ~needle:(line ^ "\n") prom))
+    [
+      "tl_registry_parse_cache_hits 0";
+      "tl_registry_parse_cache_misses 0";
+      "tl_twig_leaf_pairs_built 0";
+      "# HELP tl_twig_leaf_pairs_built Leaf-pair splits built for decomposition (each is built once \
+       per process, then reused)";
+    ]
+
+(* --- a replaced bundle is collected ----------------------------------------- *)
+
+(* Serve [twigs] on the dataset's current bundle, then watch (weakly) one
+   plan that only the bundle's plan cache holds and one record of its
+   audit ring.  Out of line, so no stack slot of the caller keeps the
+   bundle alive. *)
+let[@inline never] serve_and_watch t name twigs =
+  let b = Option.get (Registry.find t name) in
+  ignore (Registry.batch b twigs);
+  let engine = Registry.engine b in
+  let plan =
+    Tl_core.Plan_cache.plan_key (Tl_serve.Engine.plan_cache engine) (Tl_serve.Engine.scheme engine)
+      (Twig.key (Twig.canonicalize twigs.(0)))
+  in
+  let plan_w = Weak.create 1 and record_w = Weak.create 1 in
+  Weak.set plan_w 0 (Some plan);
+  Weak.set record_w 0 (Some (List.hd (Tl_serve.Audit.records (Registry.audit b))));
+  ((fun () -> Weak.check plan_w 0), fun () -> Weak.check record_w 0)
+
+let test_swap_frees_plans_and_audit () =
+  Metrics.reset ();
+  let t = Registry.create () in
+  let tree = Helpers.tree_of Helpers.fig11_spec in
+  ignore (Result.get_ok (Registry.install_document t ~name:"d" tree));
+  let twigs = Array.of_list (List.map (Helpers.twig_of_string tree) fig11_queries) in
+  let plan_alive, record_alive = serve_and_watch t "d" twigs in
+  Gc.full_major ();
+  Alcotest.(check bool) "plan alive while its bundle serves" true (plan_alive ());
+  Alcotest.(check bool) "audit record alive while its bundle serves" true (record_alive ());
+  ignore (Result.get_ok (Registry.swap t "d" (Summary.build ~k:2 tree)));
+  Gc.full_major ();
+  Alcotest.(check bool) "replaced bundle's plan collected" false (plan_alive ());
+  Alcotest.(check bool) "replaced bundle's audit record collected" false (record_alive ())
+
 let with_temp_file contents f =
   let path = Filename.temp_file "tl_registry" ".summary" in
   Fun.protect
@@ -563,6 +611,10 @@ let () =
           Alcotest.test_case "install, find, epochs, json" `Quick test_install_find_epochs;
           Alcotest.test_case "swap serves new, old bundle stays consistent" `Quick
             test_swap_serves_new_summary_old_bundle_stays_consistent;
+          Alcotest.test_case "swap frees the old bundle's plans and audit ring" `Quick
+            test_swap_frees_plans_and_audit;
+          Alcotest.test_case "serving counters exported at zero" `Quick
+            test_counters_materialized_at_zero;
         ] );
       ( "degradation",
         [

@@ -293,6 +293,78 @@ let prop_degree_one_nonempty =
   Helpers.qcheck_case ~name:"every twig of size >= 2 has >= 2 removable nodes" gen (fun tw ->
       Twig.size tw < 2 || List.length (Twig.degree_one (Twig.index tw)) >= 2)
 
+(* --- leaf-pair splits cached on the key ------------------------------------------------------ *)
+
+(* The splits the recursive decomposition would build by hand: every
+   unordered pair of degree-1 nodes, in [degree_one] order. *)
+let fresh_splits tw =
+  let ix = Twig.index tw in
+  let n = Array.length ix.Twig.node_labels in
+  let rec pairs = function [] -> [] | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest in
+  List.map
+    (fun (u, v) ->
+      let cap = Twig.induced ix (List.filter (fun i -> i <> u && i <> v) (List.init n Fun.id)) in
+      let twin =
+        ix.Twig.parents.(u) >= 0
+        && ix.Twig.parents.(u) = ix.Twig.parents.(v)
+        && ix.Twig.node_labels.(u) = ix.Twig.node_labels.(v)
+      in
+      (Twig.key (Twig.remove ix u), Twig.key (Twig.remove ix v), Twig.key cap, twin))
+    (pairs (Twig.degree_one ix))
+
+let prop_splits_match_fresh =
+  Helpers.qcheck_case ~name:"cached splits = fresh remove/induced, in order" gen (fun tw ->
+      let k = Twig.key tw in
+      if Twig.size tw < 3 then
+        Twig.Key.leaf_pairs k = 0
+        && match Twig.Key.split k 0 with exception Invalid_argument _ -> true | _ -> false
+      else begin
+        let expected = fresh_splits tw in
+        let n = Twig.Key.leaf_pairs k in
+        (* Built back to front, then read front to back: slot order must not
+           depend on build order. *)
+        for i = n - 1 downto 0 do
+          ignore (Twig.Key.split k i)
+        done;
+        n = List.length expected
+        && List.for_all2
+             (fun i (t1, t2, cap, twin) ->
+               let sp = Twig.Key.split k i in
+               Twig.Key.equal sp.Twig.Key.t1 t1
+               && Twig.Key.equal sp.Twig.Key.t2 t2
+               && Twig.Key.equal sp.Twig.Key.cap cap
+               && sp.Twig.Key.twin = twin
+               && Twig.Key.split k i == sp)
+             (List.init n Fun.id) expected
+      end)
+
+let built () =
+  let snap = Tl_obs.Metrics.snapshot () in
+  Option.value ~default:0 (List.assoc_opt "twig.leaf_pairs_built" snap.Tl_obs.Metrics.counters)
+
+(* Labels no other test uses, so the key starts with nothing built. *)
+let test_split_built_once_per_pair () =
+  (* preorder 0:7001 1:7003 2:7002 3:7002 4:7004; degree-1 = [0; 2; 3; 4] *)
+  let tw = n 7001 [ n 7003 [ l 7004; l 7002; l 7002 ] ] in
+  let k = Twig.key tw in
+  let b0 = built () in
+  Alcotest.(check int) "four degree-1 nodes, six pairs" 6 (Twig.Key.leaf_pairs k);
+  Alcotest.(check int) "counting pairs builds nothing" b0 (built ());
+  let first = Twig.Key.split k 0 in
+  Alcotest.(check int) "the first split alone" (b0 + 1) (built ());
+  Alcotest.(check bool) "root and a leaf are no twins" false first.Twig.Key.twin;
+  Alcotest.(check bool) "cached: same split back" true (Twig.Key.split k 0 == first);
+  Alcotest.(check int) "a cached split is not rebuilt" (b0 + 1) (built ());
+  for i = 0 to 5 do
+    ignore (Twig.Key.split k i)
+  done;
+  Alcotest.(check int) "each pair built once" (b0 + 6) (built ());
+  Alcotest.(check bool) "pair (2, 3): same-labeled siblings are twins" true
+    (Twig.Key.split k 3).Twig.Key.twin;
+  Alcotest.(check bool) "first split kept across later builds" true (Twig.Key.split k 0 == first);
+  Alcotest.check_raises "out of range" (Invalid_argument "Twig.Key.split: pair index out of bounds")
+    (fun () -> ignore (Twig.Key.split k 6))
+
 let () =
   Alcotest.run "twig"
     [
@@ -344,6 +416,11 @@ let () =
           prop_remove_shrinks;
           prop_grow_then_size;
           prop_degree_one_nonempty;
+        ] );
+      ( "splits",
+        [
+          Alcotest.test_case "built once per pair, on demand" `Quick test_split_built_once_per_pair;
+          prop_splits_match_fresh;
         ] );
       ( "syntax",
         [
