@@ -340,12 +340,8 @@ let best_of_reps f =
    the same batch: the per-call keyed estimator (compiled-away baseline), a
    cold engine (first batch pays plan compilation), and a warm engine
    (every query hits a compiled plan).  The warm/per-call ratio is the
-   headline number of this optimization.  With -j > 1 the same warm batch
-   is also forced down the full-evaluation path (an [?extra] source
-   disables the const fast path) sequentially and across the pool, so the
-   domain-scaling row measures real per-query work rather than field
-   reads. *)
-let run_throughput ~jobs pool suite =
+   headline number of this optimization. *)
+let run_throughput suite =
   print_string
     (Tl_harness.Report.section "throughput"
        (Printf.sprintf
@@ -405,85 +401,6 @@ let run_throughput ~jobs pool suite =
               ~value:(qps (Array.length sub) ms)
               ~unit:"qps" ~ms:total)
           throughput_sweep;
-        (* Domain scaling needs per-query work the pool can amortize.
-           Batches dedupe, so the skewed batch above collapses to a
-           handful of const-plan reads, and cold compilation serializes
-           on the global key-interning table — neither spreads.  Sample a
-           distinct-heavy batch of random subtwigs, warm one engine on
-           it, then measure full plan evaluations: an [?extra] source
-           (returning None, so results are unchanged) disables the const
-           fast path, and every query becomes a lock-free shard hit plus
-           a real evaluation sweep. *)
-        if jobs > 1 then begin
-          let scaling_batch =
-            let rng = Xorshift.create 131 in
-            let tree = env.Experiments.tree in
-            let acc = ref [] in
-            for i = 1 to throughput_batch do
-              match Tl_twig.Twig_enum.random_subtree rng tree ~size:(6 + (i mod 7)) with
-              | Some twig -> acc := twig :: !acc
-              | None -> ()
-            done;
-            Array.of_list !acc
-          in
-          let m = Array.length scaling_batch in
-          if m > 0 then begin
-            let warm_engine = Engine.create ~scheme ~plan_capacity:(4 * throughput_batch) summary in
-            ignore (Engine.batch warm_engine scaling_batch);
-            ignore (Engine.batch ~pool warm_engine scaling_batch);
-            let extra = fun _ -> None in
-            let seq_ms, seq_total =
-              best_of_reps (fun () -> ignore (Engine.batch ~extra warm_engine scaling_batch))
-            in
-            let par_ms, par_total =
-              best_of_reps (fun () -> ignore (Engine.batch ~pool ~extra warm_engine scaling_batch))
-            in
-            let scaling = qps m par_ms /. Float.max 1e-9 (qps m seq_ms) in
-            Printf.printf
-              "  %-8s eval distinct (%d): 1 domain %9.0f qps   %d domains %9.0f qps   scaling %5.2fx%s\n%!"
-              name m (qps m seq_ms) jobs (qps m par_ms) scaling
-              (if Domain.recommended_domain_count () < 2 then "   (single-core host)" else "");
-            record ~experiment:"throughput" ~dataset:name ~metric:"qps_eval_1domain"
-              ~value:(qps m seq_ms) ~unit:"qps" ~ms:seq_total;
-            record ~experiment:"throughput" ~dataset:name
-              ~metric:(Printf.sprintf "qps_eval_%ddomains" jobs)
-              ~value:(qps m par_ms) ~unit:"qps" ~ms:par_total;
-            record ~experiment:"throughput" ~dataset:name ~metric:"domain_scaling_speedup"
-              ~value:scaling ~unit:"ratio" ~ms:(seq_total +. par_total);
-            (* The same parallel evaluation feeding from a live Adaptive
-               cache — no caller-side lock now that the cache guards its
-               LRU internally.  This row prices that mutex: every
-               decomposition step of every query on every domain goes
-               through one contended lookup. *)
-            let adaptive =
-              let tl = Tl_core.Treelattice.of_summary env.Experiments.tree summary in
-              let a = Tl_core.Adaptive.create ~capacity:1024 tl in
-              Array.iteri
-                (fun i tw ->
-                  if i < 64 then Tl_core.Adaptive.observe a tw (2 * Tl_twig.Twig.size tw))
-                scaling_batch;
-              a
-            in
-            let extra = Tl_core.Adaptive.lookup adaptive in
-            let fb_seq_ms, fb_seq_total =
-              best_of_reps (fun () -> ignore (Engine.batch ~extra warm_engine scaling_batch))
-            in
-            let fb_par_ms, fb_par_total =
-              best_of_reps (fun () -> ignore (Engine.batch ~pool ~extra warm_engine scaling_batch))
-            in
-            let fb_scaling = qps m fb_par_ms /. Float.max 1e-9 (qps m fb_seq_ms) in
-            Printf.printf
-              "  %-8s adaptive feedback:   1 domain %9.0f qps   %d domains %9.0f qps   scaling %5.2fx\n%!"
-              name (qps m fb_seq_ms) jobs (qps m fb_par_ms) fb_scaling;
-            record ~experiment:"throughput" ~dataset:name ~metric:"qps_feedback_1domain"
-              ~value:(qps m fb_seq_ms) ~unit:"qps" ~ms:fb_seq_total;
-            record ~experiment:"throughput" ~dataset:name
-              ~metric:(Printf.sprintf "qps_feedback_%ddomains" jobs)
-              ~value:(qps m fb_par_ms) ~unit:"qps" ~ms:fb_par_total;
-            record ~experiment:"throughput" ~dataset:name ~metric:"feedback_scaling_speedup"
-              ~value:fb_scaling ~unit:"ratio" ~ms:(fb_seq_total +. fb_par_total)
-          end
-        end;
         let s = Engine.stats engine in
         let lookups = s.Tl_core.Plan_cache.hits + s.Tl_core.Plan_cache.misses in
         let hit_rate =
@@ -1027,7 +944,7 @@ let () =
       record ~experiment:id ~dataset:"all" ~metric:"report_ms" ~value:ms ~unit:"ms" ~ms)
     Experiments.all_experiments;
     run_parallel_build ~jobs ~k:config.Experiments.k pool suite;
-    run_throughput ~jobs pool suite;
+    run_throughput suite;
     run_observability suite;
     run_registry suite;
     run_server pool suite;

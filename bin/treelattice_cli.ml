@@ -2,7 +2,7 @@
 
    Subcommands:
      generate   write a synthetic dataset as XML
-     stats      print structural statistics (DOM or SAX route)
+     stats      print structural statistics of an XML file
      summarize  mine an XML file into a k-lattice summary file
      mine       print per-level pattern statistics of an XML file
      estimate   estimate (and optionally check) a twig query
@@ -31,7 +31,16 @@ module Registry = Tl_serve.Registry
 module Protocol = Tl_serve.Protocol
 module Server = Tl_serve.Server
 
-let load_tree path = Data_tree.of_xml (Tl_xml.Xml_dom.parse_file path)
+(* A malformed document is a user error like a bad query: one diagnostic
+   line on stderr and exit 1. *)
+let read_xml load path =
+  try load path
+  with Tl_xml.Xml_error.Parse_error (pos, msg) ->
+    Printf.eprintf "treelattice: %s: XML parse error at %s: %s\n%!" path
+      (Tl_xml.Xml_error.pp_position pos) msg;
+    exit 1
+
+let load_tree = read_xml Tl_tree.Tree_load.of_file
 
 (* --- shared args -------------------------------------------------------- *)
 
@@ -180,17 +189,11 @@ let stats_cmd =
   let histogram =
     Arg.(value & opt int 0 & info [ "histogram" ] ~docv:"N" ~doc:"Also print the N most frequent tags.")
   in
-  let sax =
-    Arg.(value & flag & info [ "sax" ] ~doc:"Load via the streaming SAX path (no DOM).")
-  in
-  let run obs xml histogram sax =
+  let run obs xml histogram =
     with_obs obs @@ fun () ->
-    let tree, ms =
-      Tl_util.Timer.time_ms (fun () ->
-          if sax then Tl_tree.Tree_load.of_file xml else load_tree xml)
-    in
+    let tree, ms = Tl_util.Timer.time_ms (fun () -> load_tree xml) in
     let stats = Tl_tree.Tree_stats.compute tree in
-    Printf.printf "loaded in %.0f ms (%s route)\n" ms (if sax then "SAX" else "DOM");
+    Printf.printf "loaded in %.0f ms\n" ms;
     print_endline (Tl_tree.Tree_stats.pp stats);
     if histogram > 0 then begin
       print_endline "most frequent tags:";
@@ -201,7 +204,7 @@ let stats_cmd =
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Print structural statistics of an XML document.")
-    Term.(const run $ obs_term $ xml_arg $ histogram $ sax)
+    Term.(const run $ obs_term $ xml_arg $ histogram)
 
 (* --- mine ------------------------------------------------------------------ *)
 
@@ -1047,7 +1050,7 @@ let values_cmd =
   let exact = Arg.(value & flag & info [ "exact" ] ~doc:"Also compute the exact count.") in
   let run obs xml k query exact =
     with_obs obs @@ fun () ->
-    let vtree = Tl_values.Value_tree.of_xml (Tl_xml.Xml_dom.parse_file xml) in
+    let vtree = read_xml Tl_values.Value_tree.of_file xml in
     let est = Tl_values.Value_estimator.create ~k vtree in
     match Tl_values.Value_estimator.estimate_string est query with
     | Error msg ->

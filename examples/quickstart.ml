@@ -13,7 +13,7 @@ module Estimator = Tl_core.Estimator
 
 let () =
   (* Step 1: a ~5000-element auction site document.  To use your own data:
-     Tl_xml.Xml_dom.parse_file "your.xml" |> Tl_tree.Data_tree.of_xml *)
+     Tl_tree.Tree_load.of_file "your.xml" *)
   let tree = Dataset.tree Dataset.xmark ~target:5_000 ~seed:1 in
   Printf.printf "document: %d elements, %d distinct tags\n\n" (Tl_tree.Data_tree.size tree)
     (Tl_tree.Data_tree.label_count tree);

@@ -7,8 +7,7 @@
 
     Typical use:
     {[
-      let doc = Tl_xml.Xml_dom.parse_file "auction.xml" in
-      let tree = Tl_tree.Data_tree.of_xml doc in
+      let tree = Tl_tree.Tree_load.of_file "auction.xml" in
       let tl = Treelattice.build ~k:4 tree in
       match Treelattice.estimate_string tl "laptop(brand,price)" with
       | Ok estimate -> Printf.printf "~%.1f matches\n" estimate

@@ -98,13 +98,4 @@ let load ?intern text =
     (Summary.of_patterns ~k ~complete patterns, names)
 
 let load_file ?intern path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text =
-    try really_input_string ic len
-    with e ->
-      close_in_noerr ic;
-      raise e
-  in
-  close_in ic;
-  load ?intern text
+  load ?intern (In_channel.with_open_bin path In_channel.input_all)

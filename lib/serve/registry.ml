@@ -280,7 +280,7 @@ let swap t name summary =
 
 let load t name path =
   if Filename.check_suffix path ".xml" then
-    match Data_tree.of_xml (Tl_xml.Xml_dom.parse_file path) with
+    match Tl_tree.Tree_load.of_file path with
     | exception Sys_error msg -> fail t msg
     | exception e -> fail t (Printf.sprintf "%s: %s" path (Printexc.to_string e))
     | tree -> install_document t ~name ~source:path tree

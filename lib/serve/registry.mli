@@ -86,7 +86,8 @@ val swap : t -> string -> Tl_lattice.Summary.t -> (bundle, string) result
 
 val load : t -> string -> string -> (bundle, string) result
 (** [load t name path] routes [path] into dataset [name]: a [*.xml] path
-    is parsed and mined ({!install_document}); anything else is read as a
+    is streamed into a tree ({!Tl_tree.Tree_load}) and mined
+    ({!install_document}); anything else is read as a
     serialized summary ({!Tl_lattice.Summary_io}).  A summary routed to a
     document-backed dataset is re-keyed into the document's interner by
     tag {e name} and rejected if it names a tag the document lacks; a

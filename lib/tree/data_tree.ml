@@ -14,27 +14,8 @@ type t = {
 
 (* --- construction ------------------------------------------------------ *)
 
-let count_element_nodes root_el =
-  (* Iterative to be safe on very deep documents. *)
-  let count = ref 0 in
-  let stack = ref [ root_el ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | el :: rest ->
-      stack := rest;
-      incr count;
-      List.iter
-        (fun child ->
-          match child with
-          | Tl_xml.Xml_dom.Element e -> stack := e :: !stack
-          | Tl_xml.Xml_dom.Text _ | Tl_xml.Xml_dom.Comment _ | Tl_xml.Xml_dom.Pi _ -> ())
-        el.Tl_xml.Xml_dom.children
-  done;
-  !count
-
-(* Shared construction tail: derive the sorted-children, by-label, and
-   edge-pair indices from the core arrays. *)
+(* Derive the sorted-children, by-label, and edge-pair indices from the
+   core arrays. *)
 let assemble interner labels parents children =
   let n = Array.length labels in
   let children_sorted =
@@ -68,48 +49,6 @@ let assemble interner labels parents children =
   done;
   { interner; labels; parents; children; children_sorted; by_label; edge_pairs; subtree_sizes }
 
-let of_element root_el =
-  let n = count_element_nodes root_el in
-  let interner = Tl_util.Interner.create () in
-  let labels = Array.make n 0 in
-  let parents = Array.make n (-1) in
-  let children = Array.make n [||] in
-  (* Preorder assignment with an explicit stack of (element, parent id).
-     A work queue would break preorder; the stack preserves it by pushing
-     children reversed. *)
-  let next_id = ref 0 in
-  let stack = ref [ (root_el, -1) ] in
-  let child_acc : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | (el, parent_id) :: rest ->
-      stack := rest;
-      let id = !next_id in
-      incr next_id;
-      labels.(id) <- Tl_util.Interner.intern interner el.Tl_xml.Xml_dom.tag;
-      parents.(id) <- parent_id;
-      if parent_id >= 0 then begin
-        let existing = Option.value ~default:[] (Hashtbl.find_opt child_acc parent_id) in
-        Hashtbl.replace child_acc parent_id (id :: existing)
-      end;
-      let element_children =
-        List.filter_map
-          (fun child ->
-            match child with
-            | Tl_xml.Xml_dom.Element e -> Some e
-            | Tl_xml.Xml_dom.Text _ | Tl_xml.Xml_dom.Comment _ | Tl_xml.Xml_dom.Pi _ -> None)
-          el.Tl_xml.Xml_dom.children
-      in
-      List.iter (fun e -> stack := (e, id) :: !stack) (List.rev element_children)
-  done;
-  Hashtbl.iter
-    (fun parent kids -> children.(parent) <- Array.of_list (List.rev kids))
-    child_acc;
-  assemble interner labels parents children
-
-let of_xml (doc : Tl_xml.Xml_dom.t) = of_element doc.root
-
 let of_preorder ~tags ~parents =
   let n = Array.length tags in
   if n = 0 then invalid_arg "Data_tree.of_preorder: empty node sequence";
@@ -134,6 +73,33 @@ let of_preorder ~tags ~parents =
     fill.(p) <- fill.(p) + 1
   done;
   assemble interner labels parents children
+
+(* Preorder tags and parents for [of_preorder]: an explicit stack keeps
+   deep documents off the call stack, and pushing each element's children
+   ahead of the rest keeps preorder. *)
+let of_element root_el =
+  let tags = ref [] and parents = ref [] and next_id = ref 0 in
+  let stack = ref [ (root_el, -1) ] in
+  while !stack <> [] do
+    match !stack with
+    | [] -> ()
+    | (el, parent) :: rest ->
+      let id = !next_id in
+      incr next_id;
+      tags := el.Tl_xml.Xml_dom.tag :: !tags;
+      parents := parent :: !parents;
+      let kids =
+        List.filter_map
+          (function
+            | Tl_xml.Xml_dom.Element e -> Some (e, id)
+            | Tl_xml.Xml_dom.Text _ | Tl_xml.Xml_dom.Comment _ | Tl_xml.Xml_dom.Pi _ -> None)
+          el.Tl_xml.Xml_dom.children
+      in
+      stack := kids @ rest
+  done;
+  of_preorder ~tags:(Array.of_list (List.rev !tags)) ~parents:(Array.of_list (List.rev !parents))
+
+let of_xml (doc : Tl_xml.Xml_dom.t) = of_element doc.root
 
 (* --- accessors ---------------------------------------------------------- *)
 

@@ -21,16 +21,18 @@ type label = int
 val of_xml : Tl_xml.Xml_dom.t -> t
 (** Build from a parsed document, dropping text, comments, and processing
     instructions.  Attribute structure is ignored (tags only), as in the
-    paper's data model. *)
+    paper's data model.  To load an XML file, use {!Tl_tree.Tree_load},
+    which streams it without a DOM. *)
 
 val of_element : Tl_xml.Xml_dom.element -> t
+(** [of_xml] from a bare element: its preorder walk feeds {!of_preorder}. *)
 
 val of_preorder : tags:string array -> parents:int array -> t
 (** Build from a preorder node sequence: node [i] has tag [tags.(i)] and
     parent [parents.(i)], with [parents.(0) = -1] and [0 <= parents.(i) < i]
-    for every other node; sibling order is index order.  This is the
-    streaming construction path ({!Tl_tree.Tree_load} feeds it from SAX
-    events without materializing a DOM).  Raises [Invalid_argument] on
+    for every other node; sibling order is index order.  Every other
+    constructor ends here: {!Tl_tree.Tree_load} feeds it from SAX events
+    and {!of_element} from a DOM walk.  Raises [Invalid_argument] on
     malformed input (length mismatch, empty, bad parent indices). *)
 
 val root : t -> node

@@ -1,11 +1,14 @@
-(** Streaming construction of data trees from XML.
+(** Streaming construction of data trees from XML: how every XML file
+    becomes a {!Data_tree.t}.
 
     Builds the tree directly from SAX events ({!Tl_xml.Xml_sax}) — element
     tags and nesting only — without materializing a DOM.  Produces exactly
     the same tree as [Data_tree.of_xml (Xml_dom.parse_file path)] (tested),
-    at a fraction of the peak memory on text-heavy documents. *)
+    at a fraction of the time and peak memory. *)
 
 val of_string : string -> Data_tree.t
 (** Raises {!Tl_xml.Xml_error.Parse_error} on malformed input. *)
 
 val of_file : string -> Data_tree.t
+(** Raises {!Tl_xml.Xml_error.Parse_error} on malformed input and
+    [Sys_error] when the file cannot be read. *)

@@ -101,13 +101,4 @@ let load text =
     (synopsis, names)
 
 let load_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text =
-    try really_input_string ic len
-    with e ->
-      close_in_noerr ic;
-      raise e
-  in
-  close_in ic;
-  load text
+  load (In_channel.with_open_bin path In_channel.input_all)

@@ -41,6 +41,8 @@ let of_element root_el =
 
 let of_xml (doc : Xml_dom.t) = of_element doc.root
 
+let of_file path = of_xml (Xml_dom.parse_file path)
+
 let tree t = t.tree
 
 let value t v = t.values.(v)

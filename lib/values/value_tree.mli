@@ -14,6 +14,11 @@ val of_element : Tl_xml.Xml_dom.element -> t
 
 val of_xml : Tl_xml.Xml_dom.t -> t
 
+val of_file : string -> t
+(** Parse the file into a DOM, which keeps the text that values need.
+    Raises {!Tl_xml.Xml_error.Parse_error} on malformed input and
+    [Sys_error] when the file cannot be read. *)
+
 val tree : t -> Tl_tree.Data_tree.t
 (** The underlying structural tree. *)
 

@@ -12,188 +12,34 @@ let element ?(attrs = []) tag children = { tag; attrs; children }
 
 (* --- parsing ----------------------------------------------------------- *)
 
-let scan_attr_value lx =
-  let quote = Xml_lexer.next lx in
-  if quote <> '"' && quote <> '\'' then Xml_lexer.error lx "expected a quoted attribute value";
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    let c = Xml_lexer.peek lx in
-    if c = quote then Xml_lexer.advance lx
-    else if c = '&' then begin
-      Buffer.add_string buf (Xml_lexer.scan_reference lx);
-      loop ()
-    end
-    else if c = '<' then Xml_lexer.error lx "'<' not allowed in attribute value"
-    else begin
-      Buffer.add_char buf c;
-      Xml_lexer.advance lx;
-      loop ()
-    end
-  in
-  loop ();
-  Buffer.contents buf
+(* An element whose close event has not arrived yet; children accumulate
+   in reverse. *)
+type open_element = { o_tag : string; o_attrs : (string * string) list; mutable o_kids : node list }
 
-let scan_attributes lx =
-  let rec loop acc =
-    Xml_lexer.skip_whitespace lx;
-    let c = Xml_lexer.peek lx in
-    if c = '>' || c = '/' || c = '?' then List.rev acc
-    else begin
-      let name = Xml_lexer.scan_name lx in
-      if List.mem_assoc name acc then
-        Xml_lexer.error lx (Printf.sprintf "duplicate attribute %S" name);
-      Xml_lexer.skip_whitespace lx;
-      Xml_lexer.expect lx '=';
-      Xml_lexer.skip_whitespace lx;
-      let value = scan_attr_value lx in
-      loop ((name, value) :: acc)
-    end
-  in
-  loop []
+(* Fold the scanner's events into a document.  Comments and PIs outside
+   the root have no parent and are dropped. *)
+let build parse =
+  let decl = ref None and root = ref None and stack = ref [] in
+  let add node = match !stack with top :: _ -> top.o_kids <- node :: top.o_kids | [] -> () in
+  parse (function
+    | Xml_sax.Declaration attrs -> decl := Some attrs
+    | Xml_sax.Start_element (tag, attrs) -> stack := { o_tag = tag; o_attrs = attrs; o_kids = [] } :: !stack
+    | Xml_sax.End_element _ -> (
+      match !stack with
+      | top :: rest ->
+        let el = { tag = top.o_tag; attrs = top.o_attrs; children = List.rev top.o_kids } in
+        stack := rest;
+        if rest = [] then root := Some el else add (Element el)
+      | [] -> ())
+    | Xml_sax.Text s -> add (Text s)
+    | Xml_sax.Comment c -> add (Comment c)
+    | Xml_sax.Pi (target, body) -> add (Pi (target, body)));
+  (* The scanner rejects a document without a root element. *)
+  { decl = !decl; root = Option.get !root }
 
-let rec scan_element lx =
-  Xml_lexer.expect lx '<';
-  let tag = Xml_lexer.scan_name lx in
-  let attrs = scan_attributes lx in
-  Xml_lexer.skip_whitespace lx;
-  if Xml_lexer.looking_at lx "/>" then begin
-    Xml_lexer.expect_string lx "/>";
-    { tag; attrs; children = [] }
-  end
-  else begin
-    Xml_lexer.expect lx '>';
-    let children = scan_content lx in
-    Xml_lexer.expect_string lx "</";
-    let close = Xml_lexer.scan_name lx in
-    if close <> tag then
-      Xml_lexer.error lx (Printf.sprintf "mismatched close tag: expected </%s>, found </%s>" tag close);
-    Xml_lexer.skip_whitespace lx;
-    Xml_lexer.expect lx '>';
-    { tag; attrs; children }
-  end
+let parse_string input = build (Xml_sax.parse_string input)
 
-and scan_content lx =
-  let items = ref [] in
-  let text = Buffer.create 32 in
-  let flush_text () =
-    if Buffer.length text > 0 then begin
-      items := Text (Buffer.contents text) :: !items;
-      Buffer.clear text
-    end
-  in
-  let rec loop () =
-    if Xml_lexer.at_end lx then Xml_lexer.error lx "unexpected end of input inside an element";
-    let c = Xml_lexer.peek lx in
-    if c = '<' then begin
-      if Xml_lexer.looking_at lx "</" then flush_text ()
-      else if Xml_lexer.looking_at lx "<!--" then begin
-        flush_text ();
-        Xml_lexer.expect_string lx "<!--";
-        let body = Xml_lexer.scan_until lx "-->" in
-        items := Comment body :: !items;
-        loop ()
-      end
-      else if Xml_lexer.looking_at lx "<![CDATA[" then begin
-        Xml_lexer.expect_string lx "<![CDATA[";
-        let body = Xml_lexer.scan_until lx "]]>" in
-        Buffer.add_string text body;
-        loop ()
-      end
-      else if Xml_lexer.looking_at lx "<?" then begin
-        flush_text ();
-        Xml_lexer.expect_string lx "<?";
-        let target = Xml_lexer.scan_name lx in
-        Xml_lexer.skip_whitespace lx;
-        let body = Xml_lexer.scan_until lx "?>" in
-        items := Pi (target, body) :: !items;
-        loop ()
-      end
-      else begin
-        flush_text ();
-        let child = scan_element lx in
-        items := Element child :: !items;
-        loop ()
-      end
-    end
-    else if c = '&' then begin
-      Buffer.add_string text (Xml_lexer.scan_reference lx);
-      loop ()
-    end
-    else begin
-      Buffer.add_char text c;
-      Xml_lexer.advance lx;
-      loop ()
-    end
-  in
-  loop ();
-  List.rev !items
-
-let scan_declaration lx =
-  if Xml_lexer.looking_at lx "<?xml" then begin
-    Xml_lexer.expect_string lx "<?xml";
-    let attrs = scan_attributes lx in
-    Xml_lexer.skip_whitespace lx;
-    Xml_lexer.expect_string lx "?>";
-    Some attrs
-  end
-  else None
-
-let skip_misc lx =
-  let rec loop () =
-    Xml_lexer.skip_whitespace lx;
-    if Xml_lexer.looking_at lx "<!--" then begin
-      Xml_lexer.expect_string lx "<!--";
-      ignore (Xml_lexer.scan_until lx "-->");
-      loop ()
-    end
-    else if Xml_lexer.looking_at lx "<!DOCTYPE" then begin
-      Xml_lexer.expect_string lx "<!DOCTYPE";
-      (* Skip to the matching '>': internal subsets nest one level of [...]. *)
-      let rec skip depth =
-        match Xml_lexer.next lx with
-        | '[' -> skip (depth + 1)
-        | ']' -> skip (depth - 1)
-        | '>' when depth = 0 -> ()
-        | _ -> skip depth
-      in
-      skip 0;
-      loop ()
-    end
-    else if Xml_lexer.looking_at lx "<?" then begin
-      Xml_lexer.expect_string lx "<?";
-      ignore (Xml_lexer.scan_name lx);
-      ignore (Xml_lexer.scan_until lx "?>");
-      loop ()
-    end
-  in
-  loop ()
-
-let parse_string input =
-  Tl_obs.Span.with_ "xml.parse" @@ fun () ->
-  let lx = Xml_lexer.of_string input in
-  Xml_lexer.skip_whitespace lx;
-  let decl = scan_declaration lx in
-  skip_misc lx;
-  if Xml_lexer.at_end lx || Xml_lexer.peek lx <> '<' then
-    Xml_lexer.error lx "expected a root element";
-  let root = scan_element lx in
-  skip_misc lx;
-  if not (Xml_lexer.at_end lx) then Xml_lexer.error lx "content after the root element";
-  Tl_obs.Metrics.incr "xml.documents_parsed";
-  Tl_obs.Metrics.observe "xml.input_bytes" (String.length input);
-  { decl; root }
-
-let parse_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let content =
-    try really_input_string ic len
-    with e ->
-      close_in_noerr ic;
-      raise e
-  in
-  close_in ic;
-  parse_string content
+let parse_file path = build (Xml_sax.parse_file path)
 
 (* --- queries ----------------------------------------------------------- *)
 

@@ -4,7 +4,12 @@
     text, comments, and processing instructions.  IDREFs and DTDs are out of
     scope — the paper models XML documents as rooted node-labeled trees and
     ignores values (§2.1); text is parsed faithfully but the data-tree layer
-    drops it. *)
+    drops it.
+
+    Parsing is a fold over {!Xml_sax}'s events, so the DOM accepts exactly
+    the grammar of the streaming route and fails with the same
+    {!Xml_error.Parse_error}.  Code that needs only tags and nesting loads
+    through {!Tl_tree.Tree_load} instead and never builds a DOM. *)
 
 type node =
   | Element of element
@@ -16,16 +21,15 @@ and element = { tag : string; attrs : (string * string) list; children : node li
 
 type t = { decl : (string * string) list option; root : element }
 (** A document: the pseudo-attributes of the XML declaration, if present,
-    and the single root element.  A leading [<!DOCTYPE ...>] is accepted and
-    discarded. *)
+    and the single root element.  A [<!DOCTYPE ...>] before the root, and
+    comments and PIs outside it, are accepted and discarded. *)
 
 val element : ?attrs:(string * string) list -> string -> node list -> element
 (** Convenience constructor. *)
 
 val parse_string : string -> t
 (** Parse a complete document.  Raises {!Xml_error.Parse_error} on
-    malformed input (unbalanced tags, bad references, duplicate
-    attributes, trailing junk...). *)
+    malformed input, exactly as {!Xml_sax.parse_string} does. *)
 
 val parse_file : string -> t
 (** [parse_string] over the file's contents.  Raises [Sys_error] when the

@@ -1,8 +1,8 @@
 (** Character-level cursor over an XML input string.
 
-    The parser in {!Xml_dom} is recursive descent over this cursor; the
-    cursor tracks line/column for error reporting and owns the low-level
-    scanning primitives (names, whitespace, references). *)
+    The scanner in {!Xml_sax} runs over this cursor; the cursor tracks
+    line/column for error reporting and owns the low-level scanning
+    primitives (names, whitespace, references). *)
 
 type t
 

@@ -6,9 +6,6 @@ type event =
   | Comment of string
   | Pi of string * string
 
-(* The scanning mirrors Xml_dom but drives a handler instead of building
-   nodes; attribute scanning is shared logic re-expressed over the lexer. *)
-
 let scan_attr_value lx =
   let quote = Xml_lexer.next lx in
   if quote <> '"' && quote <> '\'' then Xml_lexer.error lx "expected a quoted attribute value";
@@ -48,7 +45,19 @@ let scan_attributes lx =
   in
   loop []
 
-let parse_lexer lx handler =
+let skip_doctype lx =
+  Xml_lexer.expect_string lx "<!DOCTYPE";
+  (* Skip to the matching '>': internal subsets nest one level of [...]. *)
+  let rec skip depth =
+    match Xml_lexer.next lx with
+    | '[' -> skip (depth + 1)
+    | ']' -> skip (depth - 1)
+    | '>' when depth = 0 -> ()
+    | _ -> skip depth
+  in
+  skip 0
+
+let scan lx handler =
   Xml_lexer.skip_whitespace lx;
   if Xml_lexer.looking_at lx "<?xml" then begin
     Xml_lexer.expect_string lx "<?xml";
@@ -57,18 +66,8 @@ let parse_lexer lx handler =
     Xml_lexer.expect_string lx "?>";
     handler (Declaration attrs)
   end;
-  let skip_doctype () =
-    Xml_lexer.expect_string lx "<!DOCTYPE";
-    let rec skip depth =
-      match Xml_lexer.next lx with
-      | '[' -> skip (depth + 1)
-      | ']' -> skip (depth - 1)
-      | '>' when depth = 0 -> ()
-      | _ -> skip depth
-    in
-    skip 0
-  in
-  (* [depth] counts open elements; text accumulates per contiguous run. *)
+  (* [open_tags] holds the open elements, innermost first; text accumulates
+     per contiguous run. *)
   let text = Buffer.create 64 in
   let flush_text () =
     if Buffer.length text > 0 then begin
@@ -76,11 +75,11 @@ let parse_lexer lx handler =
       Buffer.clear text
     end
   in
-  let depth = ref 0 in
+  let open_tags = ref [] in
   let seen_root = ref false in
   let rec loop () =
     if Xml_lexer.at_end lx then begin
-      if !depth > 0 then Xml_lexer.error lx "unexpected end of input inside an element";
+      if !open_tags <> [] then Xml_lexer.error lx "unexpected end of input inside an element";
       if not !seen_root then Xml_lexer.error lx "expected a root element"
     end
     else begin
@@ -90,10 +89,14 @@ let parse_lexer lx handler =
           flush_text ();
           Xml_lexer.expect_string lx "</";
           let tag = Xml_lexer.scan_name lx in
+          (match !open_tags with
+          | top :: rest when String.equal top tag -> open_tags := rest
+          | top :: _ ->
+            Xml_lexer.error lx
+              (Printf.sprintf "mismatched close tag: expected </%s>, found </%s>" top tag)
+          | [] -> Xml_lexer.error lx (Printf.sprintf "unexpected close tag </%s>" tag));
           Xml_lexer.skip_whitespace lx;
           Xml_lexer.expect lx '>';
-          if !depth = 0 then Xml_lexer.error lx (Printf.sprintf "unexpected close tag </%s>" tag);
-          decr depth;
           handler (End_element tag);
           loop ()
         end
@@ -104,14 +107,14 @@ let parse_lexer lx handler =
           loop ()
         end
         else if Xml_lexer.looking_at lx "<![CDATA[" then begin
-          if !depth = 0 then Xml_lexer.error lx "character data outside the root element";
+          if !open_tags = [] then Xml_lexer.error lx "character data outside the root element";
           Xml_lexer.expect_string lx "<![CDATA[";
           Buffer.add_string text (Xml_lexer.scan_until lx "]]>");
           loop ()
         end
         else if Xml_lexer.looking_at lx "<!DOCTYPE" then begin
           if !seen_root then Xml_lexer.error lx "DOCTYPE after the root element";
-          skip_doctype ();
+          skip_doctype lx;
           loop ()
         end
         else if Xml_lexer.looking_at lx "<?" then begin
@@ -124,7 +127,7 @@ let parse_lexer lx handler =
         end
         else begin
           flush_text ();
-          if !depth = 0 && !seen_root then Xml_lexer.error lx "content after the root element";
+          if !open_tags = [] && !seen_root then Xml_lexer.error lx "content after the root element";
           Xml_lexer.expect lx '<';
           let tag = Xml_lexer.scan_name lx in
           let attrs = scan_attributes lx in
@@ -137,18 +140,18 @@ let parse_lexer lx handler =
           end
           else begin
             Xml_lexer.expect lx '>';
-            incr depth
+            open_tags := tag :: !open_tags
           end;
           loop ()
         end
       end
       else if c = '&' then begin
-        if !depth = 0 then Xml_lexer.error lx "character data outside the root element";
+        if !open_tags = [] then Xml_lexer.error lx "character data outside the root element";
         Buffer.add_string text (Xml_lexer.scan_reference lx);
         loop ()
       end
       else begin
-        if !depth = 0 then begin
+        if !open_tags = [] then begin
           (* Whitespace between top-level constructs is fine; anything else
              is stray content. *)
           if Xml_lexer.next lx |> fun ch -> not (ch = ' ' || ch = '\t' || ch = '\r' || ch = '\n')
@@ -164,36 +167,13 @@ let parse_lexer lx handler =
   in
   loop ()
 
-(* A well-formedness detail the depth counter misses: close tags must match
-   the open tag.  Track with a stack wrapper around the handler. *)
 let parse_string input handler =
-  let lx = Xml_lexer.of_string input in
-  let stack = ref [] in
-  let checked event =
-    (match event with
-    | Start_element (tag, _) -> stack := tag :: !stack
-    | End_element tag -> (
-      match !stack with
-      | top :: rest when String.equal top tag -> stack := rest
-      | top :: _ ->
-        Xml_lexer.error lx (Printf.sprintf "mismatched close tag: expected </%s>, found </%s>" top tag)
-      | [] -> Xml_lexer.error lx (Printf.sprintf "unexpected close tag </%s>" tag))
-    | Declaration _ | Text _ | Comment _ | Pi _ -> ());
-    handler event
-  in
-  parse_lexer lx checked
+  Tl_obs.Span.with_ "xml.parse" @@ fun () ->
+  scan (Xml_lexer.of_string input) handler;
+  Tl_obs.Metrics.incr "xml.documents_parsed";
+  Tl_obs.Metrics.observe "xml.input_bytes" (String.length input)
 
-let parse_file path handler =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let content =
-    try really_input_string ic len
-    with e ->
-      close_in_noerr ic;
-      raise e
-  in
-  close_in ic;
-  parse_string content handler
+let parse_file path handler = parse_string (In_channel.with_open_bin path In_channel.input_all) handler
 
 let events_of_string input =
   let events = ref [] in

@@ -1,15 +1,10 @@
-(** Event-based (SAX-style) XML parsing.
+(** Event-based (SAX-style) XML parsing: the one XML scanner.
 
-    The DOM route ({!Xml_dom}) materializes every text node and attribute
-    list before the data-tree layer throws them away; for large documents —
-    the paper's motivation is "internet scale" XML (Aboulnaga et al.) —
-    the event stream lets {!Tl_tree.Tree_load} build the data tree
-    directly, keeping peak memory at the size of the tree arrays rather
-    than the DOM.
-
-    The grammar accepted is identical to {!Xml_dom.parse_string} (same
-    lexer, same reference resolution, same error positions); the two
-    parsers are cross-checked against each other in the test suite. *)
+    Every document is read here.  {!Tl_tree.Tree_load} builds a data tree
+    straight from the events, keeping peak memory at the size of the tree
+    arrays; {!Xml_dom} folds the same events into a document when the text
+    is needed.  Both therefore accept the same grammar and raise the same
+    {!Xml_error.Parse_error}, position and message included. *)
 
 type event =
   | Declaration of (string * string) list  (** [<?xml ...?>] pseudo-attributes *)
@@ -21,10 +16,15 @@ type event =
 
 val parse_string : string -> (event -> unit) -> unit
 (** Run the handler over every event of a complete document.  Raises
-    {!Xml_error.Parse_error} on malformed input — events already delivered
-    before the error are not retracted. *)
+    {!Xml_error.Parse_error} on malformed input (unbalanced tags, bad
+    references, duplicate attributes, content outside the root...) —
+    events already delivered before the error are not retracted.  Each
+    parse runs inside an [xml.parse] span; a successful one counts
+    [xml.documents_parsed] and observes its length in [xml.input_bytes]. *)
 
 val parse_file : string -> (event -> unit) -> unit
+(** [parse_string] over the file's contents.  Raises [Sys_error] when the
+    file cannot be read. *)
 
 val events_of_string : string -> event list
 (** Convenience for tests: collect all events. *)

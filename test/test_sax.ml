@@ -172,6 +172,53 @@ let prop_same_estimates_either_route =
            (fun tw c acc -> acc && Tl_lattice.Summary.find s2 tw = Some c)
            s1 true)
 
+(* A spec document cut at a random byte or with one byte replaced. *)
+let corrupted_gen =
+  let open QCheck2.Gen in
+  let* spec = Helpers.spec_gen ~max_nodes:30
+  and* indent = bool
+  and* truncate = bool
+  and* at = nat
+  and* byte = oneof [ oneofl [ '<'; '>'; '/'; '&'; ';'; '='; '"'; '!'; '?'; '-'; '['; ' '; 'a' ]; char ] in
+  let root = Tl_tree.Tree_builder.to_element spec in
+  let text = Tl_xml.Xml_writer.to_string ~indent { decl = Some [ ("version", "1.0") ]; root } in
+  let at = at mod String.length text in
+  return
+    (if truncate then String.sub text 0 at else String.mapi (fun i c -> if i = at then byte else c) text)
+
+let prop_corrupted_same_outcome =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"corrupt input: same tree or same error"
+       ~print:(Printf.sprintf "%S") corrupted_gen (fun text ->
+         let outcome load =
+           match load text with
+           | tree -> Ok tree
+           | exception Xml_error.Parse_error (pos, msg) -> Error (pos, msg)
+         in
+         match
+           (outcome (fun text -> Data_tree.of_xml (Xml_dom.parse_string text)), outcome Tree_load.of_string)
+         with
+         | Ok a, Ok b -> same_tree a b
+         | Error a, Error b -> a = b
+         | Ok _, Error _ | Error _, Ok _ -> false))
+
+let test_load_records_parse () =
+  let input = "<a><b/><b/></a>" in
+  Tl_obs.Metrics.reset ();
+  Tl_obs.Span.reset ();
+  Tl_obs.Span.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Tl_obs.Span.set_enabled false;
+      Tl_obs.Span.reset ())
+  @@ fun () ->
+  ignore (Tree_load.of_string input);
+  let snap = Tl_obs.Metrics.snapshot () in
+  Alcotest.(check int) "documents parsed" 1 (List.assoc "xml.documents_parsed" snap.counters);
+  Alcotest.(check int) "input bytes" (String.length input)
+    (List.assoc "xml.input_bytes" snap.histograms).h_sum;
+  Alcotest.(check (list string)) "span" [ "xml.parse" ]
+    (List.map (fun (sp : Tl_obs.Span.span) -> sp.name) (Tl_obs.Span.finished ()))
+
 let () =
   Alcotest.run "sax"
     [
@@ -196,5 +243,7 @@ let () =
           Alcotest.test_case "buffer growth" `Quick test_load_grows_buffers;
           prop_sax_route_equals_dom_route;
           prop_same_estimates_either_route;
+          prop_corrupted_same_outcome;
+          Alcotest.test_case "parse metrics and span" `Quick test_load_records_parse;
         ] );
     ]

@@ -137,6 +137,8 @@ let test_empty_input () = expect_parse_error ""
 
 let test_junk_before_root () = expect_parse_error "junk <a/>"
 
+let test_doctype_after_root () = expect_parse_error "<a/><!DOCTYPE x>"
+
 let test_error_position () =
   match parse "<a>\n  <b x=></b></a>" with
   | exception Xml_error.Parse_error (pos, _) ->
@@ -269,6 +271,7 @@ let () =
           Alcotest.test_case "empty input" `Quick test_empty_input;
           Alcotest.test_case "junk before root" `Quick test_junk_before_root;
           Alcotest.test_case "error position" `Quick test_error_position;
+          Alcotest.test_case "doctype after root" `Quick test_doctype_after_root;
         ] );
       ( "writer",
         [
