@@ -57,10 +57,6 @@ val exact_string : t -> string -> (int, string) result
 val pp_twig : t -> Tl_twig.Twig.t -> string
 (** Render a twig with the document's tag names. *)
 
-val parse_xpath : t -> string -> (bool * Tl_twig.Twig.t, string) result
-(** Parse the supported XPath fragment (see {!Tl_twig.Xpath}); the boolean
-    is the anchored flag ([/site/...] vs [//site/...]). *)
-
 val estimate_xpath : ?scheme:Estimator.scheme -> t -> string -> (float, string) result
 (** Estimate an XPath query; an anchored one is scaled by
     {!anchored_scale}. *)

@@ -35,15 +35,11 @@ let choice weighted rng =
   let choices = Array.of_list weighted in
   [ (Xorshift.pick_weighted rng choices) rng ]
 
-let choice_opt p weighted rng = if Xorshift.bernoulli rng p then choice weighted rng else []
-
 let group gs rng = List.concat_map (fun g -> g rng) gs
 
 let nothing _rng = []
 
 let cond p ~then_ ~else_ rng = if Xorshift.bernoulli rng p then then_ rng else else_ rng
-
-let with_rng f rng = f rng rng
 
 let rec element_count (el : Xml_dom.element) =
   List.fold_left

@@ -38,9 +38,6 @@ val repeat : count -> gen -> kids
 val choice : (gen * float) list -> kids
 (** Exactly one child, chosen by weight. *)
 
-val choice_opt : float -> (gen * float) list -> kids
-(** With probability [p], one weighted choice; otherwise nothing. *)
-
 val group : kids list -> kids
 (** Concatenation, for bundling under {!cond}. *)
 
@@ -51,9 +48,6 @@ val cond : float -> then_:kids -> else_:kids -> kids
     [then_] bundle, otherwise the whole [else_] bundle.  All children inside
     a bundle co-occur, which is exactly what breaks the estimators'
     conditional-independence assumption. *)
-
-val with_rng : (Tl_util.Xorshift.t -> kids) -> kids
-(** Escape hatch for custom correlated logic. *)
 
 val element_count : Tl_xml.Xml_dom.element -> int
 (** Number of element nodes in a generated subtree. *)

@@ -108,8 +108,6 @@ let make_suite ?pool ?(datasets = Dataset.all) config =
 
 let suite_config s = s.config
 
-let suite_pool s = s.pool
-
 let envs s = s.suite_envs
 
 (* Lattice schemes run through the env's plan-cached engine: sweeps repeat

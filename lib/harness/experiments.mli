@@ -53,8 +53,6 @@ val make_suite :
 
 val suite_config : suite -> config
 
-val suite_pool : suite -> Tl_util.Pool.t option
-
 val envs : suite -> env list
 
 val prepare : ?pool:Tl_util.Pool.t -> config -> Tl_datasets.Dataset.t -> env
@@ -99,15 +97,10 @@ val negative : suite -> string
 val lemma4 : suite -> string
 (** Markov-path equivalence check on sampled path queries. *)
 
-(** {2 Ablations beyond the paper} (DESIGN.md §6) *)
+(** {2 Ablations beyond the paper} (DESIGN.md §6)
 
-val ablation_k : suite -> string
-(** Accuracy / space / build-time trade-off of the lattice depth
-    [k ∈ 2..5], the design parameter the paper fixes at 4. *)
-
-val ablation_pairs : suite -> string
-(** Sensitivity of the recursive scheme to the leaf-pair choice (estimate
-    spread across pairs) and how much voting recovers. *)
+    The lattice-depth ([ablation-k]) and leaf-pair ([ablation-pairs])
+    ablations run by id through {!run}. *)
 
 val incremental : suite -> string
 (** Incremental maintenance: mine half a dataset, add the other half with

@@ -58,15 +58,6 @@ val estimate :
     plan-cache hit, feedback hit, clamp flag); without it the evaluation
     path is exactly the uninstrumented one. *)
 
-val estimate_key :
-  ?scheme:Tl_core.Estimator.scheme ->
-  ?extra:(Tl_twig.Twig.Key.t -> float option) ->
-  ?audit:Audit.t ->
-  t ->
-  Tl_twig.Twig.Key.t ->
-  float
-(** {!estimate} for an already-interned canonical key. *)
-
 val batch :
   ?pool:Tl_util.Pool.t ->
   ?scheme:Tl_core.Estimator.scheme ->
@@ -89,16 +80,6 @@ val batch :
     safe oracle ({!Monitor.oracle_of_tree}, {!Monitor.oracle_of_adaptive})
     is safe here, and the monitor's window is deterministic for a fixed
     seed and query sequence regardless of the pool. *)
-
-val batch_keys :
-  ?pool:Tl_util.Pool.t ->
-  ?scheme:Tl_core.Estimator.scheme ->
-  ?extra:(Tl_twig.Twig.Key.t -> float option) ->
-  ?audit:Audit.t ->
-  ?monitor:Monitor.t ->
-  t ->
-  Tl_twig.Twig.Key.t array ->
-  float array
 
 val batch_values :
   ?pool:Tl_util.Pool.t ->

@@ -9,7 +9,6 @@ type t = {
   children_sorted : node array array;  (* sorted by (label, document order) *)
   by_label : node array array;  (* label -> nodes in preorder *)
   edge_pairs : (label * label, unit) Hashtbl.t;
-  subtree_sizes : int array;
 }
 
 (* --- construction ------------------------------------------------------ *)
@@ -41,13 +40,7 @@ let assemble interner labels parents children =
     let p = parents.(v) in
     if p >= 0 then Hashtbl.replace edge_pairs (labels.(p), labels.(v)) ()
   done;
-  (* Preorder ids make each subtree a contiguous range; sizes accumulate in
-     one reverse sweep. *)
-  let subtree_sizes = Array.make n 1 in
-  for v = n - 1 downto 1 do
-    subtree_sizes.(parents.(v)) <- subtree_sizes.(parents.(v)) + subtree_sizes.(v)
-  done;
-  { interner; labels; parents; children; children_sorted; by_label; edge_pairs; subtree_sizes }
+  { interner; labels; parents; children; children_sorted; by_label; edge_pairs }
 
 let of_preorder ~tags ~parents =
   let n = Array.length tags in
@@ -153,45 +146,6 @@ let fold_children_with_label t v l f acc =
   !acc
 
 let nodes_with_label t l = if l < 0 || l >= Array.length t.by_label then [||] else t.by_label.(l)
-
-let subtree_end t v = v + t.subtree_sizes.(v)
-
-let is_descendant t w ~ancestor = w > ancestor && w < subtree_end t ancestor
-
-(* Range [lo, hi) of entries in the preorder-sorted [arr] with values in
-   (v, subtree_end v). *)
-let descendant_range t v arr =
-  let n = Array.length arr in
-  let stop = subtree_end t v in
-  let rec lower lo hi = (* first index with arr.(i) > v *)
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if arr.(mid) <= v then lower (mid + 1) hi else lower lo mid
-  in
-  let rec upper lo hi = (* first index with arr.(i) >= stop *)
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if arr.(mid) < stop then upper (mid + 1) hi else upper lo mid
-  in
-  let lo = lower 0 n in
-  let hi = upper lo n in
-  (lo, hi)
-
-let descendants_with_label t v l =
-  let arr = nodes_with_label t l in
-  let lo, hi = descendant_range t v arr in
-  Array.sub arr lo (hi - lo)
-
-let fold_descendants_with_label t v l f acc =
-  let arr = nodes_with_label t l in
-  let lo, hi = descendant_range t v arr in
-  let acc = ref acc in
-  for i = lo to hi - 1 do
-    acc := f !acc arr.(i)
-  done;
-  !acc
 
 let edge_label_pairs t = Hashtbl.fold (fun pair () acc -> pair :: acc) t.edge_pairs []
 

@@ -88,20 +88,6 @@ val has_edge_labels : t -> label -> label -> bool
 (** [has_edge_labels t lp lc] is true when some [lp]-labeled node has an
     [lc]-labeled child. *)
 
-val subtree_end : t -> node -> node
-(** Nodes are preorder ids, so the subtree rooted at [v] is exactly the
-    contiguous id range [[v, subtree_end t v)].  This is the classic region
-    encoding: [w] is a descendant of [v] iff [v < w < subtree_end t v]. *)
-
-val is_descendant : t -> node -> ancestor:node -> bool
-(** Strict descendant test via the region encoding. *)
-
-val descendants_with_label : t -> node -> label -> node array
-(** Strict descendants of [v] carrying [l], in preorder (fresh array). *)
-
-val fold_descendants_with_label : t -> node -> label -> ('a -> node -> 'a) -> 'a -> 'a
-(** Fold over the same set without allocating it. *)
-
 val postorder : t -> node array
 (** Nodes in postorder (children before parents), for bottom-up DPs. *)
 

@@ -32,7 +32,6 @@
     attribute axes ([@id]), value predicates ([\[price > 100\]]), and
     positional predicates ([\[1\]]) — the paper's data model has no values
     or order, so these have no meaning against a lattice summary.  For
-    {e exact} evaluation of internal descendant axes see {!Dtwig}; for
     value predicates see [Tl_values]. *)
 
 type t = {

@@ -32,9 +32,6 @@ val json_escape : string -> string
     return use their short escapes, and every other byte below 0x20 is
     written as [\u00XX].  Bytes from 0x20 up pass through unchanged. *)
 
-val word_bytes : int
-(** Bytes per OCaml heap word on this (64-bit) platform. *)
-
 val heap_string_bytes : string -> int
 (** Heap footprint of a string block: header word plus the padded payload.
     Used by the summary memory audits so the paper's "Utilization"

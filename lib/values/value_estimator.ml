@@ -4,8 +4,6 @@ module Estimator = Tl_core.Estimator
 
 type t = { vtree : Value_tree.t; structural : Summary.t; values : Value_summary.t }
 
-let of_parts vtree structural values = { vtree; structural; values }
-
 let create ?(k = 4) ?(top = 32) vtree =
   { vtree; structural = Summary.build ~k (Value_tree.tree vtree); values = Value_summary.build ~top vtree }
 

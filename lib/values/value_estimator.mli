@@ -22,8 +22,6 @@ val create :
 (** Build both summaries over the document ([k] lattice depth, default 4;
     [top] histogram width, default 32). *)
 
-val of_parts : Value_tree.t -> Tl_lattice.Summary.t -> Value_summary.t -> t
-
 val vtree : t -> Value_tree.t
 
 val structural : t -> Tl_lattice.Summary.t

@@ -12,8 +12,6 @@ let peek t =
   if at_end t then error t "unexpected end of input";
   t.input.[t.pos]
 
-let peek2 t = if t.pos + 1 >= t.len then None else Some t.input.[t.pos + 1]
-
 let advance t =
   if at_end t then error t "advance past end of input";
   if t.input.[t.pos] = '\n' then begin

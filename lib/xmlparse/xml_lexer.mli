@@ -15,9 +15,6 @@ val at_end : t -> bool
 val peek : t -> char
 (** Current character.  Raises {!Xml_error.Parse_error} at end of input. *)
 
-val peek2 : t -> char option
-(** Character after the current one, if any. *)
-
 val advance : t -> unit
 (** Consume one character, updating line/column. *)
 

@@ -57,14 +57,26 @@ let skip_doctype lx =
   in
   skip 0
 
+(* The rest of [<?target body?>] once [target] is read: the body, less its
+   leading whitespace. *)
+let scan_pi_body lx target =
+  Xml_lexer.skip_whitespace lx;
+  Pi (target, Xml_lexer.scan_until lx "?>")
+
 let scan lx handler =
   Xml_lexer.skip_whitespace lx;
-  if Xml_lexer.looking_at lx "<?xml" then begin
-    Xml_lexer.expect_string lx "<?xml";
-    let attrs = scan_attributes lx in
-    Xml_lexer.skip_whitespace lx;
-    Xml_lexer.expect_string lx "?>";
-    handler (Declaration attrs)
+  (* A leading PI whose target is exactly [xml] is the declaration; any
+     other target, [xml-stylesheet] included, is an ordinary PI. *)
+  if Xml_lexer.looking_at lx "<?" then begin
+    Xml_lexer.expect_string lx "<?";
+    let target = Xml_lexer.scan_name lx in
+    if String.equal target "xml" then begin
+      let attrs = scan_attributes lx in
+      Xml_lexer.skip_whitespace lx;
+      Xml_lexer.expect_string lx "?>";
+      handler (Declaration attrs)
+    end
+    else handler (scan_pi_body lx target)
   end;
   (* [open_tags] holds the open elements, innermost first; text accumulates
      per contiguous run. *)
@@ -120,9 +132,7 @@ let scan lx handler =
         else if Xml_lexer.looking_at lx "<?" then begin
           flush_text ();
           Xml_lexer.expect_string lx "<?";
-          let target = Xml_lexer.scan_name lx in
-          Xml_lexer.skip_whitespace lx;
-          handler (Pi (target, Xml_lexer.scan_until lx "?>"));
+          handler (scan_pi_body lx (Xml_lexer.scan_name lx));
           loop ()
         end
         else begin

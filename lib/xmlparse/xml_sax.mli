@@ -7,7 +7,10 @@
     {!Xml_error.Parse_error}, position and message included. *)
 
 type event =
-  | Declaration of (string * string) list  (** [<?xml ...?>] pseudo-attributes *)
+  | Declaration of (string * string) list
+      (** pseudo-attributes of a leading [<?xml ...?>], the PI whose target
+          is exactly [xml]; [<?xml-stylesheet ...?>] and other targets are
+          [Pi]s *)
   | Start_element of string * (string * string) list
   | End_element of string
   | Text of string  (** one event per maximal run of character data *)

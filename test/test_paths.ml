@@ -4,7 +4,6 @@ module Markov_table = Tl_paths.Markov_table
 module Data_tree = Tl_tree.Data_tree
 module Match_count = Tl_twig.Match_count
 module Twig = Tl_twig.Twig
-module TB = Tl_tree.Tree_builder
 
 let close = Alcotest.(check (float 1e-6))
 
@@ -112,87 +111,6 @@ let test_prune_noop_within_budget () =
   let pruned = Markov_table.prune table ~budget_bytes:max_int in
   Alcotest.(check int) "nothing pruned" (Markov_table.entries table) (Markov_table.entries pruned)
 
-(* --- path tree ------------------------------------------------------------------ *)
-
-module Path_tree = Tl_paths.Path_tree
-
-let test_path_tree_build () =
-  let tree = Helpers.tree_of Helpers.fig11_spec in
-  let pt = Path_tree.build tree in
-  (* Distinct root-to-node paths: a, a/b, a/b/c, a/b/d. *)
-  Alcotest.(check int) "one node per distinct path" 4 (Path_tree.node_count pt);
-  Alcotest.(check int) "memory" (4 * 16) (Path_tree.memory_bytes pt)
-
-let test_path_tree_exact_estimates () =
-  let tree = Helpers.tree_of Helpers.fig11_spec in
-  let pt = Path_tree.build tree in
-  let ctx = Match_count.create_ctx tree in
-  List.iter
-    (fun names ->
-      let labels = labels_of tree names in
-      close (String.concat "/" names)
-        (float_of_int (Match_count.selectivity ctx (Twig.of_path labels)))
-        (Path_tree.estimate pt labels))
-    [ [ "a" ]; [ "b" ]; [ "c" ]; [ "a"; "b" ]; [ "b"; "c" ]; [ "a"; "b"; "d" ] ];
-  close "absent path" 0.0 (Path_tree.estimate pt (labels_of tree [ "c"; "a" ]));
-  Alcotest.check_raises "empty path" (Invalid_argument "Path_tree.estimate: empty path") (fun () ->
-      ignore (Path_tree.estimate pt []))
-
-let test_path_tree_suffix_paths () =
-  (* Unanchored estimation sums over all positions: b/c occurs under both
-     kinds of b-parents in a deeper document. *)
-  let tree =
-    TB.build
-      (TB.node "r"
-         [ TB.node "x" [ TB.node "b" [ TB.leaf "c" ] ]; TB.node "b" [ TB.leaf "c"; TB.leaf "c" ] ])
-  in
-  let pt = Path_tree.build tree in
-  close "b/c across positions" 3.0 (Path_tree.estimate pt (labels_of tree [ "b"; "c" ]))
-
-let test_path_tree_prune () =
-  let tree = Tl_datasets.Dataset.tree Tl_datasets.Dataset.nasa ~target:2_000 ~seed:9 in
-  let pt = Path_tree.build tree in
-  let full = Path_tree.memory_bytes pt in
-  let budget = full / 2 in
-  let pruned = Path_tree.prune pt ~budget_bytes:budget in
-  Alcotest.(check bool) "under budget" true (Path_tree.memory_bytes pruned <= budget);
-  Alcotest.(check bool) "nodes dropped" true (Path_tree.node_count pruned < Path_tree.node_count pt);
-  (* The original is untouched. *)
-  Alcotest.(check int) "original intact" full (Path_tree.memory_bytes pt)
-
-let test_path_tree_star_fallback () =
-  (* a has three leaf kinds; the budget forces the two rare ones into a's
-     star bucket while a itself (and the frequent z) survive. *)
-  let tree =
-    TB.build
-      (TB.node "r"
-         [ TB.node "a" (TB.leaf "x" :: TB.leaf "y" :: TB.replicate 5 (TB.leaf "z")) ])
-  in
-  let pt = Path_tree.build tree in
-  (* Full: r, a, x, y, z = 80 bytes; after pruning x and y: 48 + 16 star. *)
-  let pruned = Path_tree.prune pt ~budget_bytes:64 in
-  Alcotest.(check bool) "under budget" true (Path_tree.memory_bytes pruned <= 64);
-  close "star average stands in for pruned leaves" 1.0
-    (Path_tree.estimate pruned (labels_of tree [ "a"; "x" ]));
-  close "surviving leaf exact" 5.0 (Path_tree.estimate pruned (labels_of tree [ "a"; "z" ]))
-
-let prop_path_tree_exact_unpruned =
-  Helpers.qcheck_case ~name:"unpruned path tree is exact on random paths" ~count:40
-    (Helpers.tree_gen ~max_nodes:25)
-    (fun tree ->
-      let pt = Path_tree.build tree in
-      let ctx = Match_count.create_ctx tree in
-      let rng = Tl_util.Xorshift.create 71 in
-      let nlabels = Data_tree.label_count tree in
-      let ok = ref true in
-      for _ = 1 to 8 do
-        let len = 1 + Tl_util.Xorshift.int rng 4 in
-        let labels = List.init len (fun _ -> Tl_util.Xorshift.int rng nlabels) in
-        let expected = float_of_int (Match_count.selectivity ctx (Twig.of_path labels)) in
-        if Float.abs (Path_tree.estimate pt labels -. expected) > 1e-9 then ok := false
-      done;
-      !ok)
-
 (* --- property: equivalence with TreeLattice on paths (Lemma 4, externally) ----- *)
 
 let prop_table_equals_lattice_on_paths =
@@ -232,14 +150,5 @@ let () =
           Alcotest.test_case "keeps length-1" `Quick test_prune_keeps_length1;
           Alcotest.test_case "star fallback" `Quick test_star_fallback;
           Alcotest.test_case "noop within budget" `Quick test_prune_noop_within_budget;
-        ] );
-      ( "path_tree",
-        [
-          Alcotest.test_case "build" `Quick test_path_tree_build;
-          Alcotest.test_case "exact estimates" `Quick test_path_tree_exact_estimates;
-          Alcotest.test_case "suffix paths" `Quick test_path_tree_suffix_paths;
-          Alcotest.test_case "prune" `Quick test_path_tree_prune;
-          Alcotest.test_case "star fallback" `Quick test_path_tree_star_fallback;
-          prop_path_tree_exact_unpruned;
         ] );
     ]

@@ -172,35 +172,41 @@ let prop_same_estimates_either_route =
            (fun tw c acc -> acc && Tl_lattice.Summary.find s2 tw = Some c)
            s1 true)
 
-(* A spec document cut at a random byte or with one byte replaced. *)
-let corrupted_gen =
+(* [text] cut at a random byte or with one byte replaced. *)
+let corrupt text =
   let open QCheck2.Gen in
-  let* spec = Helpers.spec_gen ~max_nodes:30
-  and* indent = bool
-  and* truncate = bool
+  let* truncate = bool
   and* at = nat
   and* byte = oneof [ oneofl [ '<'; '>'; '/'; '&'; ';'; '='; '"'; '!'; '?'; '-'; '['; ' '; 'a' ]; char ] in
-  let root = Tl_tree.Tree_builder.to_element spec in
-  let text = Tl_xml.Xml_writer.to_string ~indent { decl = Some [ ("version", "1.0") ]; root } in
   let at = at mod String.length text in
   return
     (if truncate then String.sub text 0 at else String.mapi (fun i c -> if i = at then byte else c) text)
 
+(* A spec document, corrupted. *)
+let corrupted_gen =
+  let open QCheck2.Gen in
+  let* spec = Helpers.spec_gen ~max_nodes:30
+  and* indent = bool in
+  let root = Tl_tree.Tree_builder.to_element spec in
+  corrupt (Tl_xml.Xml_writer.to_string ~indent { decl = Some [ ("version", "1.0") ]; root })
+
+(* Both loading routes build the same tree or raise the same positioned
+   error. *)
+let same_outcome text =
+  let outcome load =
+    match load text with
+    | tree -> Ok tree
+    | exception Xml_error.Parse_error (pos, msg) -> Error (pos, msg)
+  in
+  match (outcome (fun text -> Data_tree.of_xml (Xml_dom.parse_string text)), outcome Tree_load.of_string) with
+  | Ok a, Ok b -> same_tree a b
+  | Error a, Error b -> a = b
+  | Ok _, Error _ | Error _, Ok _ -> false
+
 let prop_corrupted_same_outcome =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:300 ~name:"corrupt input: same tree or same error"
-       ~print:(Printf.sprintf "%S") corrupted_gen (fun text ->
-         let outcome load =
-           match load text with
-           | tree -> Ok tree
-           | exception Xml_error.Parse_error (pos, msg) -> Error (pos, msg)
-         in
-         match
-           (outcome (fun text -> Data_tree.of_xml (Xml_dom.parse_string text)), outcome Tree_load.of_string)
-         with
-         | Ok a, Ok b -> same_tree a b
-         | Error a, Error b -> a = b
-         | Ok _, Error _ | Error _, Ok _ -> false))
+       ~print:(Printf.sprintf "%S") corrupted_gen same_outcome)
 
 let test_load_records_parse () =
   let input = "<a><b/><b/></a>" in
@@ -218,6 +224,55 @@ let test_load_records_parse () =
     (List.assoc "xml.input_bytes" snap.histograms).h_sum;
   Alcotest.(check (list string)) "span" [ "xml.parse" ]
     (List.map (fun (sp : Tl_obs.Span.span) -> sp.name) (Tl_obs.Span.finished ()))
+
+(* --- prolog PIs and generated documents -------------------------------------- *)
+
+let test_xml_prefixed_prolog_pis () =
+  (* Only a PI whose target is exactly [xml] is the declaration. *)
+  List.iter
+    (fun (input, decl) ->
+      let dom = Xml_dom.parse_string input in
+      Alcotest.(check bool) ("declaration of " ^ input) true (dom.decl = decl);
+      Alcotest.(check string) "root" "a" dom.root.tag;
+      Alcotest.(check bool) ("same tree for " ^ input) true
+        (same_tree (Data_tree.of_xml dom) (Tree_load.of_string input)))
+    [
+      ({|<?xml-stylesheet href="s.css"?>
+<a><b/></a>|}, None);
+      ({|<?xml version="1.0"?><?xml-stylesheet href="s.css"?><?xml-model?>
+<a><b/><?xml-x y?></a><?xmlfoo?>|}, Some [ ("version", "1.0") ]);
+      ({|<?xml-model href="m.rng"?><?xml version="1.0"?><a/>|}, None);
+      ("<?xml?><a/>", Some []);
+    ];
+  match events {|<?xml-stylesheet href="s.css"?><a/>|} with
+  | Pi ("xml-stylesheet", {|href="s.css"|}) :: _ -> ()
+  | _ -> Alcotest.fail "expected the stylesheet PI first"
+
+let generated name count prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count ~name ~print:(fun (_, text) -> Printf.sprintf "%S" text) Helpers.xml_doc_gen prop)
+
+let prop_generated_parses_to_its_dom =
+  generated "text parses to the DOM it encodes" 300 (fun ((expected : Xml_dom.t), text) ->
+      let dom = Xml_dom.parse_string text in
+      dom.decl = expected.decl && Xml_dom.equal_element dom.root expected.root)
+
+let prop_writer_round_trip =
+  generated "writer output re-parses equal" 300 (fun (_, text) ->
+      let dom = Xml_dom.parse_string text in
+      let again = Xml_dom.parse_string (Tl_xml.Xml_writer.to_string dom) in
+      again.decl = dom.decl && Xml_dom.equal_element again.root dom.root)
+
+let prop_generated_same_tree =
+  generated "tree_load agrees with the DOM route" 300 (fun (_, text) ->
+      same_tree (Data_tree.of_xml (Xml_dom.parse_string text)) (Tree_load.of_string text))
+
+let prop_generated_corrupt_same_outcome =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"corrupt generated text: same tree or same error"
+       ~print:(Printf.sprintf "%S")
+       QCheck2.Gen.(Helpers.xml_doc_gen >>= fun (_, text) -> corrupt text)
+       same_outcome)
 
 let () =
   Alcotest.run "sax"
@@ -245,5 +300,13 @@ let () =
           prop_same_estimates_either_route;
           prop_corrupted_same_outcome;
           Alcotest.test_case "parse metrics and span" `Quick test_load_records_parse;
+          Alcotest.test_case "xml-prefixed prolog PIs" `Quick test_xml_prefixed_prolog_pis;
+        ] );
+      ( "generated",
+        [
+          prop_generated_parses_to_its_dom;
+          prop_writer_round_trip;
+          prop_generated_same_tree;
+          prop_generated_corrupt_same_outcome;
         ] );
     ]

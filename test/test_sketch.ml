@@ -129,63 +129,6 @@ let test_determinism () =
   Alcotest.(check int) "same clusters" (Synopsis.cluster_count s1) (Synopsis.cluster_count s2);
   Alcotest.(check int) "same edges" (Synopsis.edge_count s1) (Synopsis.edge_count s2)
 
-(* --- serialization --------------------------------------------------------------- *)
-
-module Sketch_io = Tl_sketch.Sketch_io
-
-let test_io_roundtrip () =
-  let tree = Helpers.tree_of Helpers.fig11_spec in
-  let synopsis = build tree in
-  let names = Data_tree.label_names tree in
-  let loaded, loaded_names = Sketch_io.load (Sketch_io.save ~names synopsis) in
-  Alcotest.(check int) "clusters" (Synopsis.cluster_count synopsis) (Synopsis.cluster_count loaded);
-  Alcotest.(check int) "edges" (Synopsis.edge_count synopsis) (Synopsis.edge_count loaded);
-  Alcotest.(check (array string)) "names" names loaded_names;
-  (* Estimates agree after the roundtrip. *)
-  let twig = Helpers.twig_of_string tree "a(b(c,d))" in
-  close "same estimates"
-    (Sketch_estimate.estimate synopsis twig)
-    (Sketch_estimate.estimate loaded twig)
-
-let test_io_file_roundtrip () =
-  let tree = Helpers.tree_of Helpers.shop_spec in
-  let synopsis = build tree in
-  let path = Filename.temp_file "tl_sketch" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Sketch_io.save_file ~names:(Data_tree.label_names tree) path synopsis;
-      let loaded, _ = Sketch_io.load_file path in
-      Alcotest.(check int) "clusters" (Synopsis.cluster_count synopsis)
-        (Synopsis.cluster_count loaded))
-
-let test_io_format_errors () =
-  let expect_error text =
-    match Sketch_io.load text with
-    | exception Sketch_io.Format_error _ -> ()
-    | _ -> Alcotest.failf "expected format error for %S" text
-  in
-  expect_error "garbage";
-  expect_error "treesketch-synopsis v1 clusters=x labels=0\n";
-  expect_error "treesketch-synopsis v1 clusters=1 labels=1\na\ncluster 5 0 1\n";
-  expect_error "treesketch-synopsis v1 clusters=1 labels=1\na\nnot-a-line x\n";
-  (* Invalid loaded synopsis (size 0) is rejected by validation. *)
-  expect_error "treesketch-synopsis v1 clusters=1 labels=1\na\ncluster 0 0 0\n"
-
-let prop_io_roundtrip_estimates =
-  Helpers.qcheck_case ~name:"save/load preserves synopsis estimates" ~count:30
-    (Helpers.tree_gen ~max_nodes:25)
-    (fun tree ->
-      let synopsis = build tree in
-      let loaded, _ = Sketch_io.load (Sketch_io.save ~names:(Data_tree.label_names tree) synopsis) in
-      let ok = ref true in
-      for l = 0 to Data_tree.label_count tree - 1 do
-        let t = Tl_twig.Twig.leaf l in
-        if Float.abs (Sketch_estimate.estimate synopsis t -. Sketch_estimate.estimate loaded t) > 1e-9
-        then ok := false
-      done;
-      !ok)
-
 (* --- properties --------------------------------------------------------------------- *)
 
 let prop_budget_or_label_floor =
@@ -241,12 +184,5 @@ let () =
           Alcotest.test_case "rooted expectation" `Quick test_estimate_rooted;
           Alcotest.test_case "determinism" `Quick test_determinism;
           prop_single_label_estimates_exact;
-        ] );
-      ( "io",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
-          Alcotest.test_case "file roundtrip" `Quick test_io_file_roundtrip;
-          Alcotest.test_case "format errors" `Quick test_io_format_errors;
-          prop_io_roundtrip_estimates;
         ] );
     ]
