@@ -195,39 +195,6 @@ let reset () =
       Hashtbl.reset s.hists)
     (all_shards ())
 
-(* --- quantiles ---------------------------------------------------------- *)
-
-(* Log-bucket interpolation: find the bucket holding the q-th ranked
-   observation, then place the value linearly inside the bucket's [lo, hi]
-   integer range.  The first and last buckets are tightened to the
-   recorded min/max, so quantiles never fall outside the observed range.
-   Accuracy is bounded by the bucket width (a factor of 2), which is the
-   histogram's resolution by construction. *)
-let quantile h q =
-  if h.h_observations = 0 then Float.nan
-  else begin
-    let q = Float.max 0.0 (Float.min 1.0 q) in
-    let target = Float.max 1.0 (Float.ceil (q *. float_of_int h.h_observations)) in
-    let rec go cum = function
-      | [] -> float_of_int h.h_max
-      | (floor, count) :: rest ->
-        let cum' = cum + count in
-        if float_of_int cum' < target then go cum' rest
-        else begin
-          (* Integer values in this bucket lie in [floor, 2*floor - 1]
-             (bucket 0: [0, 1]); clamp to the observed extremes. *)
-          let lo = Float.max (float_of_int h.h_min) (float_of_int floor) in
-          let hi =
-            Float.min (float_of_int h.h_max)
-              (if floor = 0 then 1.0 else float_of_int ((2 * floor) - 1))
-          in
-          let frac = (target -. float_of_int cum) /. float_of_int count in
-          lo +. (frac *. Float.max 0.0 (hi -. lo))
-        end
-    in
-    go 0 h.h_buckets
-  end
-
 (* --- rendering ---------------------------------------------------------- *)
 
 let sanitize name =

@@ -54,14 +54,6 @@ val equal_snapshot : snapshot -> snapshot -> bool
 val reset : unit -> unit
 (** Clear every shard (including those of exited domains). *)
 
-val quantile : hist_snapshot -> float -> float
-(** [quantile h q] estimates the [q]-quantile ([0 <= q <= 1], clamped) of
-    the observations in [h] by log-bucket interpolation: the bucket
-    holding the ranked observation is located in the cumulative series,
-    and the value is placed linearly within that bucket's range (tightened
-    to the recorded min/max at the edges).  Accurate to the bucket's
-    factor-of-2 resolution; [nan] on an empty histogram. *)
-
 val describe : string -> string -> unit
 (** [describe name help] registers the [# HELP] text emitted for metric
     [name] by {!to_prometheus}.  Metrics without a registered or built-in

@@ -130,34 +130,7 @@ let reset t =
       s.next <- 0)
     (all_shards t)
 
-(* --- latency histogram + JSONL ------------------------------------------ *)
-
-(* The held records as a [Metrics.hist_snapshot], so [Metrics.quantile]
-   applies — this is how the bench derives its p50/p90/p99 serving-latency
-   rows without ad-hoc quantile math. *)
-let latency_histogram t =
-  let buckets = Array.make 62 0 in
-  let observations = ref 0 and sum = ref 0 and vmin = ref max_int and vmax = ref min_int in
-  List.iter
-    (fun r ->
-      Stdlib.incr observations;
-      sum := !sum + r.latency_ns;
-      if r.latency_ns < !vmin then vmin := r.latency_ns;
-      if r.latency_ns > !vmax then vmax := r.latency_ns;
-      let b = Metrics.bucket_of r.latency_ns in
-      buckets.(b) <- buckets.(b) + 1)
-    (records t);
-  let h_buckets = ref [] in
-  for i = Array.length buckets - 1 downto 0 do
-    if buckets.(i) > 0 then h_buckets := (Metrics.bucket_floor i, buckets.(i)) :: !h_buckets
-  done;
-  {
-    Metrics.h_observations = !observations;
-    h_sum = !sum;
-    h_min = (if !observations = 0 then 0 else !vmin);
-    h_max = (if !observations = 0 then 0 else !vmax);
-    h_buckets = !h_buckets;
-  }
+(* --- JSONL ---------------------------------------------------------------- *)
 
 let record_json (r : record) =
   Printf.sprintf

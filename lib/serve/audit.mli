@@ -81,11 +81,6 @@ val top_uncertain : ?k:int -> t -> record list
     descending measured relative error.  Unsampled, unclamped records
     never appear. *)
 
-val latency_histogram : t -> Tl_obs.Metrics.hist_snapshot
-(** The held records' latencies as a log-bucket histogram snapshot, ready
-    for {!Tl_obs.Metrics.quantile} — the bench's p50/p90/p99
-    serving-latency rows come from exactly this. *)
-
 val record_json : record -> string
 (** One record as a single-line JSON object ([rel_error] is [null] when
     the monitor did not sample the query). *)

@@ -163,26 +163,3 @@ let batch_keys ?pool ?scheme ?extra ?audit ?monitor t keys =
 let batch ?pool ?scheme ?extra ?audit ?monitor t twigs =
   batch_keys ?pool ?scheme ?extra ?audit ?monitor t
     (Array.map (fun tw -> Twig.key (Twig.canonicalize tw)) twigs)
-
-let batch_values ?pool ?scheme ?audit ?monitor t values queries =
-  let queries = Array.map Tl_values.Value_query.canonicalize queries in
-  let keys =
-    Array.map
-      (fun q -> Twig.key (Twig.canonicalize (Tl_values.Value_query.strip q)))
-      queries
-  in
-  let structural = batch_keys ?pool ?scheme ?audit ?monitor t keys in
-  Array.mapi
-    (fun i q ->
-      (* Same composition as [Value_estimator.estimate]: structural zeros
-         short-circuit, then predicate probabilities fold in canonical
-         preorder — the float is bit-identical to the per-call path. *)
-      let s = structural.(i) in
-      if s = 0.0 then 0.0
-      else
-        List.fold_left
-          (fun acc (label, value) ->
-            acc *. Tl_values.Value_summary.value_probability values label value)
-          s
-          (Tl_values.Value_query.predicates q))
-    queries

@@ -81,21 +81,6 @@ val batch :
     is safe here, and the monitor's window is deterministic for a fixed
     seed and query sequence regardless of the pool. *)
 
-val batch_values :
-  ?pool:Tl_util.Pool.t ->
-  ?scheme:Tl_core.Estimator.scheme ->
-  ?audit:Audit.t ->
-  ?monitor:Monitor.t ->
-  t ->
-  Tl_values.Value_summary.t ->
-  Tl_values.Value_query.t array ->
-  float array
-(** Value-predicate queries: structural estimates through the plan cache
-    (deduped on the {e stripped} twig, so queries differing only in
-    predicates share one plan), multiplied by the value-summary
-    probabilities.  Bit-identical to {!Tl_values.Value_estimator.estimate}
-    per query against the same summaries. *)
-
 val stats : t -> Tl_core.Plan_cache.stats
 (** The underlying plan-cache counters (see {!Tl_core.Plan_cache.stats}). *)
 

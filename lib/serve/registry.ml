@@ -48,8 +48,6 @@ type config = {
   scheme : Estimator.scheme;
   k : int;
   plan_capacity : int option;
-  audit_capacity : int option;
-  adaptive_capacity : int option;
   sample_rate : float;
   drift_threshold : float;
   drift_tree : Data_tree.t option;
@@ -60,8 +58,6 @@ let default_config =
     scheme = Treelattice.default_scheme;
     k = 4;
     plan_capacity = None;
-    audit_capacity = None;
-    adaptive_capacity = None;
     sample_rate = 0.0;
     drift_threshold = 1.0;
     drift_tree = None;
@@ -187,7 +183,7 @@ let build_bundle t ~name ~epoch ~labels summary =
     let adaptive =
       match labels with
       | Doc tree ->
-        Some (Adaptive.create ?capacity:cfg.adaptive_capacity (Treelattice.of_summary tree summary))
+        Some (Adaptive.create (Treelattice.of_summary tree summary))
       | Names _ -> None
     in
     Ok
@@ -198,7 +194,7 @@ let build_bundle t ~name ~epoch ~labels summary =
         b_labels = labels;
         b_engine = engine;
         b_adaptive = adaptive;
-        b_audit = Audit.create ?capacity:cfg.audit_capacity ();
+        b_audit = Audit.create ();
         b_monitor = make_monitor cfg ~labels ~adaptive;
         b_parsed = parsed;
       }

@@ -44,8 +44,6 @@ type config = {
   scheme : Tl_core.Estimator.scheme;  (** estimation scheme for all bundles *)
   k : int;  (** lattice depth when mining a document *)
   plan_capacity : int option;  (** per-bundle plan-cache capacity *)
-  audit_capacity : int option;  (** per-bundle audit-ring capacity *)
-  adaptive_capacity : int option;  (** per-bundle feedback-cache capacity *)
   sample_rate : float;  (** drift-monitor sampling rate (0 = off) *)
   drift_threshold : float;  (** drift-alarm p90 threshold *)
   drift_tree : Tl_tree.Data_tree.t option;

@@ -1,6 +1,23 @@
 type t = { input : string; len : int; mutable pos : int; mutable line : int; mutable col : int }
 
-let of_string input = { input; len = String.length input; pos = 0; line = 1; col = 1 }
+(* End-of-line handling (XML 1.0 §2.11): "\r\n" and a lone '\r' reach
+   the scanner as '\n'.  An input without '\r' costs one scan. *)
+let normalize_newlines s =
+  if not (String.contains s '\r') then s
+  else begin
+    let n = String.length s in
+    let buf = Buffer.create n in
+    String.iteri
+      (fun i c ->
+        if c <> '\r' then Buffer.add_char buf c
+        else if i + 1 = n || s.[i + 1] <> '\n' then Buffer.add_char buf '\n')
+      s;
+    Buffer.contents buf
+  end
+
+let of_string input =
+  let input = normalize_newlines input in
+  { input; len = String.length input; pos = 0; line = 1; col = 1 }
 
 let position t : Xml_error.position = { line = t.line; column = t.col; offset = t.pos }
 

@@ -7,6 +7,9 @@
 type t
 
 val of_string : string -> t
+(** A cursor at the start of the input, after XML end-of-line handling:
+    ["\r\n"] and a lone ['\r'] read as ['\n'], so positions count
+    lines of the normalized input. *)
 
 val position : t -> Xml_error.position
 

@@ -6,6 +6,8 @@ type event =
   | Comment of string
   | Pi of string * string
 
+(* Attribute-value normalization (XML 1.0 §3.3.3): a literal tab, LF or
+   CR reads as a space; a character reference keeps its character. *)
 let scan_attr_value lx =
   let quote = Xml_lexer.next lx in
   if quote <> '"' && quote <> '\'' then Xml_lexer.error lx "expected a quoted attribute value";
@@ -19,7 +21,7 @@ let scan_attr_value lx =
     end
     else if c = '<' then Xml_lexer.error lx "'<' not allowed in attribute value"
     else begin
-      Buffer.add_char buf c;
+      Buffer.add_char buf (match c with '\t' | '\n' | '\r' -> ' ' | c -> c);
       Xml_lexer.advance lx;
       loop ()
     end

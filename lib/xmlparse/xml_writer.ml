@@ -1,5 +1,12 @@
-let escape generic s =
-  let needs_escape = String.exists (fun c -> c = '&' || c = '<' || c = '>' || (generic && c = '"')) s in
+(* A CR anywhere, and a tab or LF in an attribute value, is written as a
+   character reference: the parser's end-of-line and attribute-value
+   normalization would change it back from a literal. *)
+let escape attr s =
+  let needs_escape =
+    String.exists
+      (fun c -> c = '&' || c = '<' || c = '>' || c = '\r' || (attr && (c = '"' || c = '\t' || c = '\n')))
+      s
+  in
   if not needs_escape then s
   else begin
     let buf = Buffer.create (String.length s + 8) in
@@ -9,7 +16,10 @@ let escape generic s =
         | '&' -> Buffer.add_string buf "&amp;"
         | '<' -> Buffer.add_string buf "&lt;"
         | '>' -> Buffer.add_string buf "&gt;"
-        | '"' when generic -> Buffer.add_string buf "&quot;"
+        | '\r' -> Buffer.add_string buf "&#13;"
+        | '"' when attr -> Buffer.add_string buf "&quot;"
+        | '\t' when attr -> Buffer.add_string buf "&#9;"
+        | '\n' when attr -> Buffer.add_string buf "&#10;"
         | c -> Buffer.add_char buf c)
       s;
     Buffer.contents buf

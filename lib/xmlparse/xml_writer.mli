@@ -5,11 +5,11 @@
     end) and by tests for parse/print round-trips. *)
 
 val escape_text : string -> string
-(** Escape [&], [<], [>] for character data. *)
+(** Escape [&], [<], [>] for character data, and CR as [&#13;]. *)
 
 val escape_attr : string -> string
 (** Escape [&], [<], [>], and double quotes for double-quoted attribute
-    values. *)
+    values, and tab, LF and CR as character references. *)
 
 val to_string : ?indent:bool -> Xml_dom.t -> string
 (** Serialize a document.  With [indent] (default [false]) elements are laid

@@ -123,20 +123,46 @@ let named_entity = function
   | 0x22 -> [ "&quot;" ]
   | _ -> []
 
-(* One code point as markup: literally where [literal] allows it (and then
-   most often), otherwise as a named entity or a decimal or hex character
-   reference. *)
+(* One code point as markup, flagged [true] when literal: literally where
+   [literal] allows it (and then most often), otherwise as a named entity
+   or a decimal or hex character reference. *)
 let encode_gen ~literal cp =
   let open QCheck2.Gen in
   let refs =
-    oneofl
-      (Printf.sprintf "&#%d;" cp :: Printf.sprintf "&#x%X;" cp :: Printf.sprintf "&#x%x;" cp
-     :: named_entity cp)
+    map
+      (fun r -> (false, r))
+      (oneofl
+         (Printf.sprintf "&#%d;" cp :: Printf.sprintf "&#x%X;" cp :: Printf.sprintf "&#x%x;" cp
+        :: named_entity cp))
   in
-  if literal cp then frequency [ (3, return (utf8 cp)); (1, refs) ] else refs
+  if literal cp then frequency [ (3, return (true, utf8 cp)); (1, refs) ] else refs
 
-let encoded_gen ~literal cps =
-  QCheck2.Gen.map (String.concat "") (QCheck2.Gen.flatten_l (List.map (encode_gen ~literal) cps))
+(* What the parser reads back from code points flagged literal or not.
+   End-of-line handling turns a literal CR LF pair, or a lone literal CR,
+   into LF; in an attribute value ([attr]), attribute-value normalization
+   then turns each literal tab or LF into a space.  A reference keeps its
+   character. *)
+let decoded ~attr pieces =
+  let buf = Buffer.create 16 in
+  let rec go = function
+    | [] -> ()
+    | (0x0D, true) :: (0x0A, true) :: rest | (0x0D, true) :: rest -> go ((0x0A, true) :: rest)
+    | ((0x09 | 0x0A), true) :: rest when attr ->
+      Buffer.add_char buf ' ';
+      go rest
+    | (cp, _) :: rest ->
+      Buffer.add_string buf (utf8 cp);
+      go rest
+  in
+  go pieces;
+  Buffer.contents buf
+
+(* [cps] as markup, with the value the parser must read back. *)
+let encoded_gen ~attr ~literal cps =
+  let open QCheck2.Gen in
+  let+ pieces = flatten_l (List.map (encode_gen ~literal) cps) in
+  ( decoded ~attr (List.map2 (fun cp (lit, _) -> (cp, lit)) cps pieces),
+    String.concat "" (List.map snd pieces) )
 
 let ws0_gen = QCheck2.Gen.oneofl [ ""; ""; " "; "\n"; "\t "; "\r\n" ]
 let ws1_gen = QCheck2.Gen.oneofl [ " "; "\n"; "\t "; "\r\n  " ]
@@ -151,8 +177,10 @@ let attr_gen name (cps : int list) =
   and* before = ws0_gen
   and* after = ws0_gen in
   let q = utf8 quote in
-  let+ value = encoded_gen ~literal:(fun cp -> cp <> 0x3C && cp <> 0x26 && cp <> quote) cps in
-  ((name, String.concat "" (List.map utf8 cps)), lead ^ name ^ before ^ "=" ^ after ^ q ^ value ^ q)
+  let+ value, text =
+    encoded_gen ~attr:true ~literal:(fun cp -> cp <> 0x3C && cp <> 0x26 && cp <> quote) cps
+  in
+  ((name, value), lead ^ name ^ before ^ "=" ^ after ^ q ^ text ^ q)
 
 let text_gen =
   let open QCheck2.Gen in
@@ -160,9 +188,10 @@ let text_gen =
   and* cdata = bool in
   let value = String.concat "" (List.map utf8 cps) in
   if cdata && not (Tl_util.Prelude.string_contains ~needle:"]]>" value) then
-    return (Dom.Text value, "<![CDATA[" ^ value ^ "]]>")
+    return
+      (Dom.Text (decoded ~attr:false (List.map (fun cp -> (cp, true)) cps)), "<![CDATA[" ^ value ^ "]]>")
   else
-    let+ text = encoded_gen ~literal:(fun cp -> cp <> 0x3C && cp <> 0x26) cps in
+    let+ value, text = encoded_gen ~attr:false ~literal:(fun cp -> cp <> 0x3C && cp <> 0x26) cps in
     (Dom.Text value, text)
 
 let comment_gen =
@@ -184,13 +213,19 @@ let pi_gen =
   return (Dom.Pi (target, body), "<?" ^ target ^ (if empty then gap0 else gap1 ^ body) ^ "?>")
 
 (* Adjacent text runs (CDATA next to references next to literals) reach
-   the DOM as one text node. *)
+   the DOM as one text node.  A run whose markup ends in a literal CR
+   before one whose markup starts with a literal LF makes one CR LF pair,
+   so the two runs' line breaks are one. *)
 let merge_text nodes =
+  let ends_cr s = s <> "" && s.[String.length s - 1] = '\r' in
+  let starts_lf s = s <> "" && s.[0] = '\n' in
   List.fold_right
-    (fun node acc ->
+    (fun (node, text) acc ->
       match (node, acc) with
-      | Dom.Text a, Dom.Text b :: rest -> Dom.Text (a ^ b) :: rest
-      | node, acc -> node :: acc)
+      | Dom.Text a, (Dom.Text b, btext) :: rest ->
+        let b = if ends_cr text && starts_lf btext then String.sub b 1 (String.length b - 1) else b in
+        (Dom.Text (a ^ b), text ^ btext) :: rest
+      | node, acc -> (node, text) :: acc)
     nodes []
 
 let xml_tags = [ "a"; "b"; "item"; "x-y"; "_n"; "ns:t"; "c.1" ]
@@ -214,7 +249,7 @@ let rec xml_element_gen depth =
     if kids = [] && self_close then start ^ "/>"
     else start ^ ">" ^ String.concat "" (List.map snd kids) ^ "</" ^ tag ^ close_ws ^ ">"
   in
-  return (Dom.element ~attrs:(List.map fst attrs) tag (merge_text (List.map fst kids)), text)
+  return (Dom.element ~attrs:(List.map fst attrs) tag (List.map fst (merge_text kids)), text)
 
 and xml_node_gen depth =
   let open QCheck2.Gen in

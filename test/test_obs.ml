@@ -88,45 +88,6 @@ let test_counters_and_rendering () =
   let empty = Metrics.snapshot () in
   Alcotest.(check int) "reset clears counters" 0 (List.length empty.Metrics.counters)
 
-(* --- histogram quantiles -------------------------------------------------- *)
-
-let test_quantile () =
-  Metrics.reset ();
-  let empty =
-    { Metrics.h_observations = 0; h_sum = 0; h_min = 0; h_max = 0; h_buckets = [] }
-  in
-  Alcotest.(check bool) "empty histogram has nan quantiles" true
-    (Float.is_nan (Metrics.quantile empty 0.5));
-  (* All mass in bucket 0 (values <= 1): every quantile collapses there. *)
-  List.iter (Metrics.observe "q.ones") [ 1; 1; 1; 1 ];
-  let h = List.assoc "q.ones" (Metrics.snapshot ()).Metrics.histograms in
-  Alcotest.(check (float 1e-9)) "all-ones p50" 1.0 (Metrics.quantile h 0.5);
-  Alcotest.(check (float 1e-9)) "all-ones p99" 1.0 (Metrics.quantile h 0.99);
-  Metrics.reset ();
-  (* 100 observations of 10 and one of 1000: low quantiles sit in the
-     [8,15] bucket (clamped to the true min), the p99+ tail reaches the
-     high bucket (clamped to the true max). *)
-  for _ = 1 to 100 do
-    Metrics.observe "q.skew" 10
-  done;
-  Metrics.observe "q.skew" 1000;
-  let h = List.assoc "q.skew" (Metrics.snapshot ()).Metrics.histograms in
-  let p50 = Metrics.quantile h 0.5 in
-  Alcotest.(check bool) "p50 within its bucket" true (p50 >= 10.0 && p50 <= 15.0);
-  Alcotest.(check (float 1e-9)) "p100 is the max" 1000.0 (Metrics.quantile h 1.0);
-  Alcotest.(check bool) "monotone in q" true
-    (Metrics.quantile h 0.25 <= Metrics.quantile h 0.75
-    && Metrics.quantile h 0.75 <= Metrics.quantile h 1.0);
-  (* Single observation: every quantile is that value exactly. *)
-  Metrics.reset ();
-  Metrics.observe "q.one" 37;
-  let h = List.assoc "q.one" (Metrics.snapshot ()).Metrics.histograms in
-  List.iter
-    (fun q ->
-      Alcotest.(check (float 1e-9)) (Printf.sprintf "single obs at q=%.2f" q) 37.0
-        (Metrics.quantile h q))
-    [ 0.0; 0.5; 0.9; 1.0 ]
-
 let test_prometheus_help_and_buckets () =
   Metrics.reset ();
   Metrics.describe "helped.count" "A documented counter";
@@ -514,7 +475,6 @@ let () =
           Alcotest.test_case "log-scale bucketing" `Quick test_bucketing;
           Alcotest.test_case "histogram snapshot" `Quick test_histogram_snapshot;
           Alcotest.test_case "counters, gauges, rendering" `Quick test_counters_and_rendering;
-          Alcotest.test_case "histogram quantiles" `Quick test_quantile;
           Alcotest.test_case "prometheus HELP and cumulative buckets" `Quick
             test_prometheus_help_and_buckets;
           prop_parallel_snapshot_identical;

@@ -59,6 +59,19 @@ let test_sax_errors () =
   expect_parse_error "";
   expect_parse_error "</a>"
 
+let test_whitespace_normalization () =
+  (* End-of-line handling turns CR LF and a lone CR into LF; attribute
+     values read each literal tab or LF as a space.  References keep their
+     character in both. *)
+  (match events "<a x=\"1\n2\" y=\"\t\r\n&#10;&#9;\">p\r\nq\rr&#13;</a>" with
+  | [ Start_element ("a", attrs); Text t; End_element "a" ] ->
+    Alcotest.(check (list (pair string string))) "attributes" [ ("x", "1 2"); ("y", "  \n\t") ] attrs;
+    Alcotest.(check string) "text" "p\nq\nr\r" t
+  | _ -> Alcotest.fail "expected one element with one text run");
+  match events "<a>\r<b x=></b></a>" with
+  | exception Xml_error.Parse_error (pos, _) -> Alcotest.(check int) "a lone CR ends a line" 2 pos.line
+  | _ -> Alcotest.fail "expected a parse error"
+
 let test_sax_matches_dom () =
   (* Same grammar: replaying SAX events must rebuild the DOM parse. *)
   let input = {|<?xml version="1.0"?><r a="1"><x>t&lt;</x><!--c--><y><z/></y>tail</r>|} in
@@ -284,6 +297,7 @@ let () =
           Alcotest.test_case "comment and pi" `Quick test_comment_and_pi_events;
           Alcotest.test_case "doctype skipped" `Quick test_doctype_skipped;
           Alcotest.test_case "errors" `Quick test_sax_errors;
+          Alcotest.test_case "whitespace normalization" `Quick test_whitespace_normalization;
           Alcotest.test_case "matches dom" `Quick test_sax_matches_dom;
         ] );
       ( "of_preorder",

@@ -151,7 +151,21 @@ let test_error_position () =
 let test_escapes () =
   Alcotest.(check string) "text escape" "a&amp;b&lt;c&gt;d" (Xml_writer.escape_text "a&b<c>d");
   Alcotest.(check string) "attr escape" "&quot;x&amp;" (Xml_writer.escape_attr "\"x&");
-  Alcotest.(check string) "no-op fast path" "plain" (Xml_writer.escape_text "plain")
+  Alcotest.(check string) "no-op fast path" "plain" (Xml_writer.escape_text "plain");
+  Alcotest.(check string) "text CR" "&#13;\n\t" (Xml_writer.escape_text "\r\n\t");
+  Alcotest.(check string) "attr whitespace" "&#9;&#10;&#13; " (Xml_writer.escape_attr "\t\n\r ")
+
+let test_normalized_whitespace_round_trip () =
+  let doc = parse "<a x=\"1\n2\" y=\"&#13;&#9;&#10;\">p\r\nq&#13;</a>" in
+  Alcotest.(check (list (pair string string))) "attributes" [ ("x", "1 2"); ("y", "\r\t\n") ]
+    doc.root.attrs;
+  Alcotest.(check bool) "text" true (doc.root.children = [ Xml_dom.Text "p\nq\r" ]);
+  let written = Xml_writer.to_string doc in
+  Alcotest.(check string) "written as references" {|<a x="1 2" y="&#13;&#9;&#10;">p
+q&#13;</a>|}
+    written;
+  Alcotest.(check bool) "re-parses equal" true
+    (Xml_dom.equal_element doc.root (parse written).root)
 
 let test_write_simple () =
   let doc = parse {|<a x="1"><b>text</b><c/></a>|} in
@@ -276,6 +290,8 @@ let () =
       ( "writer",
         [
           Alcotest.test_case "escapes" `Quick test_escapes;
+          Alcotest.test_case "normalized whitespace round trip" `Quick
+            test_normalized_whitespace_round_trip;
           Alcotest.test_case "simple write" `Quick test_write_simple;
           Alcotest.test_case "serialized size" `Quick test_serialized_size;
           Alcotest.test_case "special chars roundtrip" `Quick test_roundtrip_with_special_chars;
