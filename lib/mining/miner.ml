@@ -6,12 +6,27 @@ type twig_count = Twig.t * int
 
 type result = { max_size : int; levels : twig_count list array }
 
-(* Downward closure: a candidate can only occur if every sub-twig obtained
-   by dropping one degree-1 node occurred at the previous level. *)
-let sub_twigs_occur prev_level candidate =
+(* Downward closure over root occurrences.  [occurrences] maps each kept
+   pattern of the previous level (by key id) to its root occurrence list:
+   the data nodes, in preorder, where its rooted match count is non-zero.
+   A candidate occurs only if every sub-twig obtained by dropping one
+   degree-1 node occurred; and since it grows from its sub-twigs by adding
+   a child, it matches only at data nodes where each sub-twig that keeps
+   its root (every one but a dropped root, index 0) matched.  So it is
+   counted over the shortest of those lists, starting from every node
+   carrying its root label.  [None] when some sub-twig did not occur. *)
+let candidate_roots tree occurrences candidate =
   let ix = Twig.index candidate in
-  List.for_all
-    (fun i -> Hashtbl.mem prev_level (Twig.Key.id (Twig.key (Twig.remove ix i))))
+  List.fold_left
+    (fun acc i ->
+      match acc with
+      | None -> None
+      | Some best -> (
+        match Hashtbl.find_opt occurrences (Twig.Key.id (Twig.key (Twig.remove ix i))) with
+        | None -> None
+        | Some roots when i <> 0 && Array.length roots < Array.length best -> Some roots
+        | Some _ -> acc))
+    (Some (Data_tree.nodes_with_label tree candidate.Twig.label))
     (Twig.degree_one ix)
 
 (* Candidate counting is the miner's hot loop and each candidate is
@@ -20,33 +35,36 @@ let sub_twigs_occur prev_level candidate =
    over the shared immutable tree) and results come back in input order,
    so the final per-level sort sees exactly the sequential result set.
 
-   Counting one candidate costs time proportional to the document, so the
-   work in a batch is [candidates * nodes].  Below [parallel_work_budget]
-   of that product the fan-out overhead (helper wake-up, chunk-cursor
-   contention, end-of-map rendezvous, cross-domain GC rendezvous)
-   outweighs the counting itself — the bench's parallel-build section
-   measured 0.5-0.7x "speedups" on small documents before this floor
-   existed — so such batches stay on the sequential path (identical
-   results either way; the parallel-build bench asserts it). *)
-let parallel_work_budget = 16_000_000
+   Counting one candidate costs time roughly proportional to its root
+   list, so the work in a batch is [visits], the lists' summed length, and
+   each candidate's length is its cost hint for chunking.  Below
+   [parallel_work_budget] visits the fan-out overhead (helper wake-up,
+   chunk-cursor contention, end-of-map rendezvous, cross-domain GC
+   rendezvous) outweighs the counting itself, so such batches stay on the
+   sequential path (identical results either way; test_mining's pool
+   property asserts it). *)
+let parallel_work_budget = 128_000
 
-let count_batch ?pool ctx candidates =
-  let count cctx candidate = (candidate, Match_count.selectivity cctx candidate) in
+let count_batch ?pool ctx ~visits ~keep_roots work =
+  let count cctx (candidate, roots) =
+    let n, hits = Match_count.count_over cctx candidate roots ~keep_roots in
+    (candidate, n, hits)
+  in
   match pool with
-  | None -> Array.map (count ctx) candidates
-  | Some pool ->
-    let nodes = max 1 (Data_tree.size (Match_count.tree ctx)) in
+  | Some pool when visits >= parallel_work_budget ->
     Tl_util.Pool.parallel_chunked_map pool
-      ~cutoff:(parallel_work_budget / nodes)
+      ~cost:(fun (_, roots) -> Array.length roots)
       ~init:(fun () -> Match_count.clone_ctx ctx)
-      count candidates
+      count work
+  | _ -> Array.map (count ctx) work
 
 let mine ?pool ctx ~max_size =
   if max_size < 1 then invalid_arg "Miner.mine: max_size must be >= 1";
   Tl_obs.Span.with_ "miner.mine" @@ fun () ->
   let tree = Match_count.tree ctx in
   let levels = Array.make (max_size + 1) [] in
-  (* Level 1: one pattern per occurring label. *)
+  (* Level 1: one pattern per occurring label, which occurs at every node
+     carrying it. *)
   let nlabels = Data_tree.label_count tree in
   let level1 = ref [] in
   for l = nlabels - 1 downto 0 do
@@ -54,6 +72,12 @@ let mine ?pool ctx ~max_size =
     if occurrences > 0 then level1 := (Twig.leaf l, occurrences) :: !level1
   done;
   levels.(1) <- !level1;
+  let occurrences1 = Hashtbl.create 256 in
+  List.iter
+    (fun (t, _) ->
+      Hashtbl.replace occurrences1 (Twig.Key.id (Twig.key t))
+        (Data_tree.nodes_with_label tree t.Twig.label))
+    !level1;
   (* Child labels that can extend a node labeled [lp]. *)
   let extensions = Array.make nlabels [] in
   List.iter
@@ -61,53 +85,62 @@ let mine ?pool ctx ~max_size =
     (Data_tree.edge_label_pairs tree);
   Array.iteri (fun lp kids -> extensions.(lp) <- List.sort_uniq compare kids) extensions;
   (* Levels 2..max_size by rightmost-style extension of every node.  Dedup
-     tables key on interned canonical ids — candidate generation is the one
-     place the miner used to build (and hash) an encoding string per
-     candidate per extension site. *)
-  let prev_table : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let reset_prev level =
-    Hashtbl.reset prev_table;
-    List.iter (fun (t, _) -> Hashtbl.replace prev_table (Twig.Key.id (Twig.key t)) ()) level
-  in
-  let rec grow_level s =
+     tables key on interned canonical ids.  Only the previous level's root
+     occurrence lists are held, and the last level builds none, since
+     nothing extends it. *)
+  let rec grow_level s occurrences =
     if s <= max_size then begin
-      Tl_obs.Span.with_ "miner.level" (fun () ->
-          reset_prev levels.(s - 1);
-          let candidates = Hashtbl.create 256 in
-          List.iter
-            (fun (pattern, _) ->
-              let ix = Twig.index pattern in
-              Array.iteri
-                (fun i lp ->
-                  List.iter
-                    (fun lc ->
-                      let candidate = Twig.grow ix i lc in
-                      let key = Twig.Key.id (Twig.key candidate) in
-                      if not (Hashtbl.mem candidates key) then Hashtbl.replace candidates key candidate)
-                    extensions.(lp))
-                ix.Twig.node_labels)
-            levels.(s - 1);
-          let survivors =
-            Hashtbl.fold
-              (fun _ candidate acc ->
-                if s = 2 || sub_twigs_occur prev_table candidate then candidate :: acc else acc)
-              candidates []
-          in
-          Tl_obs.Metrics.add "miner.candidates_generated" (Hashtbl.length candidates);
-          Tl_obs.Metrics.add "miner.candidates_counted" (List.length survivors);
-          let counted =
-            Array.fold_left
-              (fun acc (candidate, count) -> if count > 0 then (candidate, count) :: acc else acc)
-              []
-              (count_batch ?pool ctx (Array.of_list survivors))
-          in
-          Tl_obs.Metrics.add "miner.patterns_kept" (List.length counted);
-          Tl_obs.Metrics.observe "miner.level_patterns" (List.length counted);
-          levels.(s) <- List.sort (fun (a, _) (b, _) -> Twig.compare a b) counted);
-      grow_level (s + 1)
+      let keep_roots = s < max_size in
+      let next =
+        Tl_obs.Span.with_ "miner.level" @@ fun () ->
+        let candidates = Hashtbl.create 256 in
+        List.iter
+          (fun (pattern, _) ->
+            let ix = Twig.index pattern in
+            Array.iteri
+              (fun i lp ->
+                List.iter
+                  (fun lc ->
+                    let candidate = Twig.grow ix i lc in
+                    let key = Twig.Key.id (Twig.key candidate) in
+                    if not (Hashtbl.mem candidates key) then Hashtbl.replace candidates key candidate)
+                  extensions.(lp))
+              ix.Twig.node_labels)
+          levels.(s - 1);
+        let work =
+          Hashtbl.fold
+            (fun _ candidate acc ->
+              match candidate_roots tree occurrences candidate with
+              | Some roots -> (candidate, roots) :: acc
+              | None -> acc)
+            candidates []
+          |> Array.of_list
+        in
+        let visits = Array.fold_left (fun acc (_, roots) -> acc + Array.length roots) 0 work in
+        Tl_obs.Metrics.add "miner.candidates_generated" (Hashtbl.length candidates);
+        Tl_obs.Metrics.add "miner.candidates_counted" (Array.length work);
+        Tl_obs.Metrics.add "miner.roots_visited" visits;
+        let next = Hashtbl.create 256 in
+        let counted =
+          Array.fold_left
+            (fun acc (candidate, count, hits) ->
+              if count > 0 then begin
+                if keep_roots then Hashtbl.replace next (Twig.Key.id (Twig.key candidate)) hits;
+                (candidate, count) :: acc
+              end
+              else acc)
+            []
+            (count_batch ?pool ctx ~visits ~keep_roots work)
+        in
+        Tl_obs.Metrics.add "miner.patterns_kept" (List.length counted);
+        Tl_obs.Metrics.observe "miner.level_patterns" (List.length counted);
+        levels.(s) <- List.sort (fun (a, _) (b, _) -> Twig.compare a b) counted;
+        next
+      in
+      grow_level (s + 1) next
     end
   in
-  grow_level 2;
+  grow_level 2 occurrences1;
   levels.(1) <- List.sort (fun (a, _) (b, _) -> Twig.compare a b) levels.(1);
   Tl_obs.Log.debug (fun m ->
       m "mined %d pattern(s) across %d level(s)"

@@ -231,6 +231,7 @@ let builtin_help =
     ("miner.candidates_generated", "Candidate patterns generated by level-wise extension");
     ("miner.level_patterns", "Patterns kept per mined lattice level");
     ("miner.patterns_kept", "Patterns kept across all mined levels");
+    ("miner.roots_visited", "Data nodes at which candidate patterns were counted");
     ("plan.compiles", "Estimation plans compiled");
     ("plan_cache.evictions", "Plans displaced from the shared plan cache");
     ("plan_cache.hits", "Plan lookups served without compiling");

@@ -2,15 +2,17 @@ module Data_tree = Tl_tree.Data_tree
 
 (* The DP buffer [dp] and its validity stamps [stamp] are reused across
    runs; [generation] invalidates everything in O(1).  Both are sized
-   n * qn for the current query. *)
+   n * qn for the current query.  [hits] collects the matching roots of a
+   [count_over ~keep_roots:true] run before they are copied out. *)
 type ctx = {
   tree : Data_tree.t;
   mutable dp : int array;
   mutable stamp : int array;
   mutable generation : int;
+  mutable hits : Data_tree.node array;
 }
 
-let create_ctx tree = { tree; dp = [||]; stamp = [||]; generation = 0 }
+let create_ctx tree = { tree; dp = [||]; stamp = [||]; generation = 0; hits = [||] }
 
 let clone_ctx ctx = create_ctx ctx.tree
 
@@ -102,25 +104,41 @@ let start_run ctx twig =
   ctx.generation <- ctx.generation + 1;
   (qnodes, qn)
 
-let selectivity ctx twig =
+(* The one counting loop: every entry point is a choice of roots. *)
+let count_over ctx twig roots ~keep_roots =
   let twig = Twig.canonicalize twig in
   let qnodes, qn = start_run ctx twig in
   let root_label = twig.Twig.label in
-  let result =
-    Array.fold_left
-      (fun acc v -> acc + node_count ctx qnodes qn v 0)
-      0
-      (Data_tree.nodes_with_label ctx.tree root_label)
-  in
+  let nroots = Array.length roots in
+  if keep_roots && Array.length ctx.hits < nroots then ctx.hits <- Array.make nroots 0;
+  let total = ref 0 and nhits = ref 0 in
+  for i = 0 to nroots - 1 do
+    let v = roots.(i) in
+    if Data_tree.label ctx.tree v = root_label then begin
+      let c = node_count ctx qnodes qn v 0 in
+      if c <> 0 then begin
+        total := !total + c;
+        if keep_roots then begin
+          ctx.hits.(!nhits) <- v;
+          incr nhits
+        end
+      end
+    end
+  done;
   (* Domain-sharded, so safe (and still deterministic in aggregate) when
      counting fans out across a pool. *)
   Tl_obs.Metrics.incr "match_count.calls";
-  Tl_obs.Metrics.observe "match_count.selectivity" result;
-  result
+  Tl_obs.Metrics.observe "match_count.selectivity" !total;
+  let kept =
+    if not keep_roots then [||]
+    else if !nhits = nroots then roots (* shared, not copied: root lists are read-only *)
+    else Array.sub ctx.hits 0 !nhits
+  in
+  (!total, kept)
 
-let selectivity_rooted ctx twig v =
-  let twig = Twig.canonicalize twig in
-  let qnodes, qn = start_run ctx twig in
-  if Data_tree.label ctx.tree v = twig.Twig.label then node_count ctx qnodes qn v 0 else 0
+let selectivity ctx twig =
+  fst (count_over ctx twig (Data_tree.nodes_with_label ctx.tree twig.Twig.label) ~keep_roots:false)
+
+let selectivity_rooted ctx twig v = fst (count_over ctx twig [| v |] ~keep_roots:false)
 
 let count tree twig = selectivity (create_ctx tree) twig

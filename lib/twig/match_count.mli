@@ -29,8 +29,20 @@ val clone_ctx : ctx -> ctx
 
 val tree : ctx -> Tl_tree.Data_tree.t
 
+val count_over :
+  ctx -> Twig.t -> Tl_tree.Data_tree.node array -> keep_roots:bool -> int * Tl_tree.Data_tree.node array
+(** [count_over ctx twig roots ~keep_roots] is the number of matches whose
+    root maps to a node of [roots] (distinct nodes; those not carrying the
+    twig's root label contribute 0), paired, when [keep_roots], with the
+    nodes of [roots] whose rooted count is non-zero, in input order — the
+    twig's root occurrence list when [roots] holds every candidate root.
+    When every root matches, that array is [roots] itself, so callers
+    must treat both as read-only.  Without [keep_roots] the array is
+    empty.  The other entry points are this loop over all or one root. *)
+
 val selectivity : ctx -> Twig.t -> int
-(** Number of matches of the twig in the whole document. *)
+(** Number of matches of the twig in the whole document: {!count_over}
+    every node carrying the root label. *)
 
 val selectivity_rooted : ctx -> Twig.t -> Tl_tree.Data_tree.node -> int
 (** Matches whose root maps to the given data node. *)

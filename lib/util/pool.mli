@@ -69,9 +69,9 @@ val parallel_chunked_map :
     cutoff).  Waking helpers, contending the chunk cursor, and the
     end-of-map rendezvous cost real time that a small batch of cheap
     elements never earns back; callers that know their per-item cost
-    should scale the floor accordingly (the miner divides a work budget
-    by document size, the serving engine uses a fixed small floor).  The
-    default keeps every multi-element input parallel.
+    should scale the floor accordingly (the serving engine uses a fixed
+    small floor; the miner skips the pool when a batch's summed cost is
+    small).  The default keeps every multi-element input parallel.
 
     Degenerate inputs are safe: an empty array returns [[||]] without
     calling [init], [cost], or [f], and an all-zero or negative cost

@@ -7,11 +7,11 @@ module Twig = Tl_twig.Twig
 let alphabet = [| "a"; "b"; "c"; "d"; "e"; "f" |]
 
 (* A random tree spec with at most [max_nodes] nodes and fan-out <= 4,
-   labels drawn from the 6-letter alphabet — small enough that brute-force
-   oracles stay fast, rich enough to hit repeated-sibling cases. *)
-let spec_gen ~max_nodes : TB.spec QCheck2.Gen.t =
+   labels drawn from [letters] — small enough that brute-force oracles
+   stay fast, rich enough to hit repeated-sibling cases. *)
+let spec_gen_over letters ~max_nodes : TB.spec QCheck2.Gen.t =
   let open QCheck2.Gen in
-  let label = map (fun i -> alphabet.(i)) (int_bound (Array.length alphabet - 1)) in
+  let label = map (fun i -> letters.(i)) (int_bound (Array.length letters - 1)) in
   let rec build budget =
     if budget <= 1 then map TB.leaf label
     else
@@ -26,7 +26,16 @@ let spec_gen ~max_nodes : TB.spec QCheck2.Gen.t =
   in
   build max_nodes
 
+let spec_gen ~max_nodes = spec_gen_over alphabet ~max_nodes
+
 let tree_gen ~max_nodes = QCheck2.Gen.map TB.build (spec_gen ~max_nodes)
+
+(* Trees over only two or three labels, so every label repeats and a
+   pattern usually occurs at a strict subset of its root label's nodes. *)
+let few_labels_tree_gen ~max_nodes =
+  let open QCheck2.Gen in
+  let* labels = int_range 2 3 in
+  map TB.build (spec_gen_over (Array.sub alphabet 0 labels) ~max_nodes)
 
 (* Random twig over integer labels [0, nlabels). *)
 let twig_gen ?(nlabels = 5) ~max_nodes () : Twig.t QCheck2.Gen.t =

@@ -174,6 +174,35 @@ let prop_downward_closure =
           (fun i -> Match_count.selectivity ctx (Twig.remove ix i) > 0)
           (Twig.degree_one ix))
 
+(* The counting loop over a chosen root set: its total is the sum of the
+   rooted counts, and the roots it keeps are exactly those with a non-zero
+   rooted count, in input order.  The twig is an occurring one half the
+   time, and the roots a shuffled random subset of every node (labels
+   included that cannot be the twig's root). *)
+let prop_count_over_subset =
+  Helpers.qcheck_case ~name:"count_over a root subset = sum of rooted counts" ~count:200
+    QCheck2.Gen.(triple (Helpers.tree_gen ~max_nodes:20) (Helpers.twig_gen ~nlabels:4 ~max_nodes:4 ()) int)
+    (fun (tree, random_twig, seed) ->
+      let ctx = Match_count.create_ctx tree in
+      let rng = Tl_util.Xorshift.create seed in
+      let twig =
+        if Tl_util.Xorshift.bool rng then random_twig
+        else
+          Option.value ~default:random_twig
+            (Twig_enum.random_subtree rng tree ~size:(Tl_util.Xorshift.int_in rng 1 4))
+      in
+      let roots =
+        Array.of_list
+          (List.filter (fun _ -> Tl_util.Xorshift.bool rng) (List.init (Data_tree.size tree) Fun.id))
+      in
+      Tl_util.Xorshift.shuffle rng roots;
+      let rooted = List.map (fun v -> (v, Match_count.selectivity_rooted ctx twig v)) (Array.to_list roots) in
+      let total, kept = Match_count.count_over ctx twig roots ~keep_roots:true in
+      let unkept, _ = Match_count.count_over ctx twig roots ~keep_roots:false in
+      total = List.fold_left (fun acc (_, c) -> acc + c) 0 rooted
+      && unkept = total
+      && Array.to_list kept = List.filter_map (fun (v, c) -> if c <> 0 then Some v else None) rooted)
+
 let () =
   Alcotest.run "match_count"
     [
@@ -198,5 +227,6 @@ let () =
           Alcotest.test_case "random subtree too big" `Quick test_random_subtree_too_big;
           prop_dp_equals_oracle;
           prop_downward_closure;
+          prop_count_over_subset;
         ] );
     ]

@@ -124,6 +124,44 @@ let prop_parallel_mine_equals_sequential =
               encoded sequential = encoded parallel)
             [ 1; 2; 3; 4 ]))
 
+(* Occurrence lists pass through two levels before the last: on trees with
+   two or three labels a pattern usually occurs at a strict subset of its
+   root label's nodes, so a candidate counted over the wrong parent list
+   loses matches the oracle finds. *)
+let prop_miner_equals_oracle_few_labels =
+  Helpers.qcheck_case ~name:"miner = enumeration oracle at max_size 5 over few labels" ~count:60
+    (Helpers.few_labels_tree_gen ~max_nodes:14)
+    (fun tree ->
+      let mined = as_pairs (mine tree 5) in
+      let oracle =
+        Twig_enum.selectivities tree ~max_size:5
+        |> List.map (fun (tw, c) -> (Twig.encode tw, c))
+        |> List.sort compare
+      in
+      mined = oracle)
+
+let roots_visited tree k =
+  Tl_obs.Metrics.reset ();
+  ignore (mine tree k);
+  Option.value ~default:0
+    (List.assoc_opt "miner.roots_visited" (Tl_obs.Metrics.snapshot ()).Tl_obs.Metrics.counters)
+
+(* Level 3 of the Fig. 11 document counts each candidate only where its
+   parent pattern matched.  Level 2 keeps a(b) at the root, b(c) at all
+   four b's and b(d) at the one b with d-children.  So a(b,b), a(b(c)) and
+   a(b(d)) visit the root once each, b(c,c) visits four b's, and b(c,d)
+   and b(d,d) visit the one b under b(d): 9 roots.  Counting from every
+   node carrying the root label visits 3 * 1 + 3 * 4 = 15, and the 21
+   edge occurrences level 2 keeps bound the visits from above. *)
+let test_level3_visits_parent_roots () =
+  let tree = Helpers.tree_of Helpers.fig11_spec in
+  let level3 = roots_visited tree 3 - roots_visited tree 2 in
+  let level2_occurrences = List.fold_left (fun acc (_, c) -> acc + c) 0 (Miner.level (mine tree 2) 2) in
+  Alcotest.(check int) "level 2 occurrences" 21 level2_occurrences;
+  Alcotest.(check int) "level 3 roots visited" 9 level3;
+  Alcotest.(check bool) "at most the level 2 occurrences" true (level3 <= level2_occurrences);
+  Alcotest.(check bool) "fewer than every root-labelled node" true (level3 < 15)
+
 let prop_downward_closure_of_result =
   Helpers.qcheck_case ~name:"every mined pattern's sub-patterns are mined" ~count:40
     (Helpers.tree_gen ~max_nodes:16)
@@ -153,7 +191,9 @@ let () =
           Alcotest.test_case "single node" `Quick test_single_node_tree;
           Alcotest.test_case "invalid max size" `Quick test_invalid_max_size;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+          Alcotest.test_case "level 3 visits parent roots" `Quick test_level3_visits_parent_roots;
           prop_miner_equals_oracle;
+          prop_miner_equals_oracle_few_labels;
           prop_parallel_mine_equals_sequential;
           prop_downward_closure_of_result;
         ] );
