@@ -20,13 +20,22 @@ let save ~names summary =
   List.iter (fun (key, count) -> Buffer.add_string buf (Printf.sprintf "%s %d\n" key count)) entries;
   Buffer.contents buf
 
+(* Written to a temporary file in the target's directory and renamed over
+   it, so a reader never sees a cut file and a failed write (say, a label
+   with a newline) leaves the old file in place. *)
 let save_file ~names path summary =
-  let oc = open_out_bin path in
-  (try output_string oc (save ~names summary)
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  close_out oc
+  let tmp, oc =
+    Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666 ~temp_dir:(Filename.dirname path)
+      (Filename.basename path) ".tmp"
+  in
+  try
+    output_string oc (save ~names summary);
+    close_out oc;
+    Sys.rename tmp path
+  with e ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 let parse_header line =
   match String.split_on_char ' ' line with

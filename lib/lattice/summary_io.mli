@@ -18,6 +18,10 @@ val save : names:string array -> Summary.t -> string
     twigs. *)
 
 val save_file : names:string array -> string -> Summary.t -> unit
+(** [save_file ~names path summary] writes {!save}'s text to a temporary
+    file next to [path] and renames it over [path]: readers see the old
+    file or the new one, never a cut one, and on failure (which
+    re-raises) the old file is kept and the temporary file removed. *)
 
 exception Format_error of string
 

@@ -31,9 +31,10 @@ let candidate_roots tree occurrences candidate =
 
 (* Candidate counting is the miner's hot loop and each candidate is
    independent, so a batch is counted across a domain pool when one is
-   given: every participant clones the shared context (private DP buffers
-   over the shared immutable tree) and results come back in input order,
-   so the final per-level sort sees exactly the sequential result set.
+   given: every participant clones the shared context (a private root
+   buffer over the shared immutable tree) and results come back in input
+   order, so the final per-level sort sees exactly the sequential result
+   set.
 
    Counting one candidate costs time roughly proportional to its root
    list, so the work in a batch is [visits], the lists' summed length, and
@@ -42,7 +43,9 @@ let candidate_roots tree occurrences candidate =
    chunk-cursor contention, end-of-map rendezvous, cross-domain GC
    rendezvous) outweighs the counting itself, so such batches stay on the
    sequential path (identical results either way; test_mining's pool
-   property asserts it). *)
+   property asserts it).  128k visits are about 7-12 ms of mining: [mine]
+   at k = 4 on the four 100k-element perfbench documents spends 51-91 ns
+   per visit on one core of a 2-vCPU x86-64 VM. *)
 let parallel_work_budget = 128_000
 
 let count_batch ?pool ctx ~visits ~keep_roots work =

@@ -6,25 +6,23 @@ type t = {
   labels : label array;
   parents : node array;  (* -1 for the root *)
   children : node array array;  (* document order *)
-  children_sorted : node array array;  (* sorted by (label, document order) *)
+  (* The children of [v] sorted by (label, document order) are the entries
+     [kid_start.(v)] to [kid_start.(v + 1) - 1] of [kid_nodes], and
+     [kid_labels] holds each entry's label, so a label range is a binary
+     search over one contiguous int array. *)
+  kid_start : int array;  (* n + 1 offsets *)
+  kid_nodes : node array;
+  kid_labels : label array;
   by_label : node array array;  (* label -> nodes in preorder *)
   edge_pairs : (label * label, unit) Hashtbl.t;
 }
 
 (* --- construction ------------------------------------------------------ *)
 
-(* Derive the sorted-children, by-label, and edge-pair indices from the
+(* Derive the by-label, flat child index and edge-pair indices from the
    core arrays. *)
 let assemble interner labels parents children =
   let n = Array.length labels in
-  let children_sorted =
-    Array.map
-      (fun kids ->
-        let sorted = Array.copy kids in
-        Array.sort (fun a b -> compare (labels.(a), a) (labels.(b), b)) sorted;
-        sorted)
-      children
-  in
   let nlabels = Tl_util.Interner.size interner in
   let by_label_counts = Array.make nlabels 0 in
   Array.iter (fun l -> by_label_counts.(l) <- by_label_counts.(l) + 1) labels;
@@ -35,12 +33,32 @@ let assemble interner labels parents children =
     by_label.(l).(fill.(l)) <- v;
     fill.(l) <- fill.(l) + 1
   done;
+  (* Walking each label's preorder list in label order and appending every
+     node to its parent's next slot leaves each parent's slots sorted by
+     (label, document order), with no comparisons. *)
+  let kid_start = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    kid_start.(v + 1) <- kid_start.(v) + Array.length children.(v)
+  done;
+  let kid_nodes = Array.make (n - 1) 0 and kid_labels = Array.make (n - 1) 0 in
+  let next = Array.sub kid_start 0 n in
+  for l = 0 to nlabels - 1 do
+    Array.iter
+      (fun v ->
+        let p = parents.(v) in
+        if p >= 0 then begin
+          kid_nodes.(next.(p)) <- v;
+          kid_labels.(next.(p)) <- l;
+          next.(p) <- next.(p) + 1
+        end)
+      by_label.(l)
+  done;
   let edge_pairs = Hashtbl.create 64 in
   for v = 0 to n - 1 do
     let p = parents.(v) in
     if p >= 0 then Hashtbl.replace edge_pairs (labels.(p), labels.(v)) ()
   done;
-  { interner; labels; parents; children; children_sorted; by_label; edge_pairs }
+  { interner; labels; parents; children; kid_start; kid_nodes; kid_labels; by_label; edge_pairs }
 
 let of_preorder ~tags ~parents =
   let n = Array.length tags in
@@ -108,40 +126,33 @@ let parent t v = if t.parents.(v) < 0 then None else Some t.parents.(v)
 let children t v = t.children.(v)
 let fanout t v = Array.length t.children.(v)
 
-(* Locate the range [lo, hi) of [l]-labeled entries in the sorted children
-   array of [v]. *)
-let label_range t v l =
-  let sorted = t.children_sorted.(v) in
-  let n = Array.length sorted in
-  let rec lower lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if t.labels.(sorted.(mid)) < l then lower (mid + 1) hi else lower lo mid
-  in
-  let rec upper lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if t.labels.(sorted.(mid)) <= l then upper (mid + 1) hi else upper lo mid
-  in
-  let lo = lower 0 n in
-  let hi = upper lo n in
-  (sorted, lo, hi)
+(* The first of the child-index entries [lo, hi) whose label is at least
+   [l], or [hi]: entries are sorted by label within a node's range. *)
+let first_label_at_least t lo hi l =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.kid_labels.(mid) < l then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let children_with_label t v l =
-  let sorted, lo, hi = label_range t v l in
-  Array.sub sorted lo (hi - lo)
+  let lo = first_label_at_least t t.kid_start.(v) t.kid_start.(v + 1) l in
+  let hi = first_label_at_least t lo t.kid_start.(v + 1) (l + 1) in
+  Array.sub t.kid_nodes lo (hi - lo)
 
 let count_children_with_label t v l =
-  let _, lo, hi = label_range t v l in
-  hi - lo
+  let lo = first_label_at_least t t.kid_start.(v) t.kid_start.(v + 1) l in
+  first_label_at_least t lo t.kid_start.(v + 1) (l + 1) - lo
 
+(* One search: the fold walks the run of [l] until its label changes. *)
 let fold_children_with_label t v l f acc =
-  let sorted, lo, hi = label_range t v l in
+  let stop = t.kid_start.(v + 1) in
+  let i = ref (first_label_at_least t t.kid_start.(v) stop l) in
   let acc = ref acc in
-  for i = lo to hi - 1 do
-    acc := f !acc sorted.(i)
+  while !i < stop && t.kid_labels.(!i) = l do
+    acc := f !acc t.kid_nodes.(!i);
+    incr i
   done;
   !acc
 

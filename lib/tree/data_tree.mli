@@ -6,9 +6,13 @@
     element tags.  Values (text) are not modeled, following the paper.
 
     The representation is array-backed and immutable after construction.
-    Each node additionally keeps its children sorted by label so that
-    "children of [v] labeled [l]" — the hot query of every counting
-    algorithm here — runs in [O(log fanout + answers)]. *)
+    A flat child index answers "children of [v] labeled [l]" — the hot
+    query of every counting algorithm here — in [O(log fanout + answers)]:
+    one array holds every node's children, each node's run sorted by
+    (label, document order), with [n + 1] offsets delimiting the runs and a
+    parallel array of the entries' labels for the binary search.  It is
+    built in [O(n)] without comparisons, by appending each label's nodes,
+    in label order, to their parents' runs. *)
 
 type t
 

@@ -2,30 +2,36 @@
 
     A match of twig [Q] in data tree [T] is a 1-1 mapping from [Q]'s nodes
     to [T]'s nodes preserving labels and parent-child edges.  The count is
-    computed by a memoized top-down dynamic program: for data node [v] and
-    query node [q] with equal labels, the number of matches of [q]'s subtree
+    computed by a top-down dynamic program: for data node [v] and query
+    node [q] with equal labels, the number of matches of [q]'s subtree
     rooted at [v] is the product, over [q]'s child sibling groups that share
     a label, of the number of weighted injective assignments of that group
     into [v]'s equally-labeled children (a permanent, evaluated by a
     subset-mask DP — sibling groups are at most twig-width wide, so the mask
-    stays tiny).  Starting from the nodes carrying the root label and
-    recursing only through label-matching edges keeps counting cheap even
-    for patterns containing very frequent leaf labels.
+    stays tiny).  A group whose members are all childless is counted in
+    closed form, [c (c - 1) ... (c - m + 1)] over its [c] matching
+    children.  Nothing is memoized: each (data node, query node) pair is
+    reached only from its two parents, so a count visits it at most once,
+    and a group's mask DP reads sub-counts computed once per data child.
+    Starting from the nodes carrying the root label and recursing only
+    through label-matching edges keeps counting cheap even for patterns
+    containing very frequent leaf labels.
 
     This engine provides the ground truth for every experiment, and the
     per-pattern counts stored in the lattice summary. *)
 
 type ctx
-(** Reusable counting context over one data tree (holds the DP buffer, so
-    repeated counting — the miner's hot loop — does not reallocate). *)
+(** Reusable counting context over one data tree.  It holds only the
+    buffer in which {!count_over} gathers matching roots, so repeated
+    counting — the miner's hot loop — does not reallocate it. *)
 
 val create_ctx : Tl_tree.Data_tree.t -> ctx
 
 val clone_ctx : ctx -> ctx
-(** A fresh context over the same (immutable, shareable) data tree but
-    with private DP/stamp buffers — one per domain when counting in
-    parallel: contexts are single-domain mutable state and must never be
-    shared across domains. *)
+(** A fresh context over the same (immutable, shareable) data tree with
+    its own root buffer — one per domain when counting in parallel:
+    contexts are single-domain mutable state and must never be shared
+    across domains. *)
 
 val tree : ctx -> Tl_tree.Data_tree.t
 

@@ -41,32 +41,26 @@ let value_ok vtree v = function
   | Some expected -> (
     match Value_tree.value vtree v with Some actual -> String.equal actual expected | None -> false)
 
+(* No memo, as in {!Tl_twig.Match_count}: a pair (w, q) is reached only
+   from (parent of w, parent of q), so the only repeated work would be a
+   sibling group's mask loop, which reads sub-counts computed once per data
+   child. *)
 let run vtree query =
   let tree = Value_tree.tree vtree in
   let qnodes = prepare query in
-  let qn = Array.length qnodes in
-  let memo : (int, int) Hashtbl.t = Hashtbl.create 256 in
   let rec node_count v q =
-    let key = (v * qn) + q in
-    match Hashtbl.find_opt memo key with
-    | Some c -> c
-    | None ->
-      let { qvalue; groups; _ } = qnodes.(q) in
-      let count =
-        if not (value_ok vtree v qvalue) then 0
-        else begin
-          let total = ref 1 in
-          let gi = ref 0 in
-          while !total <> 0 && !gi < Array.length groups do
-            let group_label, group = groups.(!gi) in
-            total := !total * group_count group_label group v;
-            incr gi
-          done;
-          !total
-        end
-      in
-      Hashtbl.replace memo key count;
-      count
+    let { qvalue; groups; _ } = qnodes.(q) in
+    if not (value_ok vtree v qvalue) then 0
+    else begin
+      let total = ref 1 in
+      let gi = ref 0 in
+      while !total <> 0 && !gi < Array.length groups do
+        let group_label, group = groups.(!gi) in
+        total := !total * group_count group_label group v;
+        incr gi
+      done;
+      !total
+    end
   and group_count group_label group v =
     let m = Array.length group in
     if m = 1 then
@@ -74,22 +68,31 @@ let run vtree query =
         (fun acc w -> acc + node_count w group.(0))
         0
     else begin
+      let c = Data_tree.count_children_with_label tree v group_label in
+      let subs = Array.make (c * m) 0 in
+      ignore
+        (Data_tree.fold_children_with_label tree v group_label
+           (fun row w ->
+             for i = 0 to m - 1 do
+               subs.((row * m) + i) <- node_count w group.(i)
+             done;
+             row + 1)
+           0);
       let full = (1 lsl m) - 1 in
       let ways = Array.make (full + 1) 0 in
       ways.(0) <- 1;
-      Data_tree.fold_children_with_label tree v group_label
-        (fun () w ->
-          for mask = full downto 1 do
-            let acc = ref ways.(mask) in
-            for i = 0 to m - 1 do
-              if mask land (1 lsl i) <> 0 then begin
-                let sub = node_count w group.(i) in
-                if sub <> 0 then acc := !acc + (ways.(mask lxor (1 lsl i)) * sub)
-              end
-            done;
-            ways.(mask) <- !acc
-          done)
-        ();
+      for row = 0 to c - 1 do
+        for mask = full downto 1 do
+          let acc = ref ways.(mask) in
+          for i = 0 to m - 1 do
+            if mask land (1 lsl i) <> 0 then begin
+              let sub = subs.((row * m) + i) in
+              if sub <> 0 then acc := !acc + (ways.(mask lxor (1 lsl i)) * sub)
+            end
+          done;
+          ways.(mask) <- !acc
+        done
+      done;
       ways.(full)
     end
   in

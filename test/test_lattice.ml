@@ -142,6 +142,27 @@ let test_io_file_roundtrip () =
       let loaded, _ = Summary_io.load_file path in
       Alcotest.(check int) "entries" (Summary.entries s) (Summary.entries loaded))
 
+let test_io_failed_save_keeps_file () =
+  (* A save that raises part-way (a label with a newline) leaves the file
+     it would have replaced intact, and no temporary file behind. *)
+  let tree = shop () in
+  let s = summary_of tree 2 in
+  let dir = Filename.temp_dir "tl_summary" "" in
+  let path = Filename.concat dir "shop.summary" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      Summary_io.save_file ~names:(Data_tree.label_names tree) path s;
+      let before = In_channel.with_open_bin path In_channel.input_all in
+      let names = Array.map (fun name -> name ^ "\n") (Data_tree.label_names tree) in
+      (match Summary_io.save_file ~names path s with
+       | () -> Alcotest.fail "expected Invalid_argument"
+       | exception Invalid_argument _ -> ());
+      Alcotest.(check string) "file intact" before (In_channel.with_open_bin path In_channel.input_all);
+      Alcotest.(check (list string)) "no temporary file" [ "shop.summary" ] (Array.to_list (Sys.readdir dir)))
+
 let test_io_format_errors () =
   let expect_format_error text =
     match Summary_io.load text with
@@ -253,6 +274,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
           Alcotest.test_case "remap" `Quick test_io_remap;
           Alcotest.test_case "file roundtrip" `Quick test_io_file_roundtrip;
+          Alcotest.test_case "failed save keeps file" `Quick test_io_failed_save_keeps_file;
           Alcotest.test_case "format errors" `Quick test_io_format_errors;
           Alcotest.test_case "header validation" `Quick test_io_header_validation;
           Alcotest.test_case "duplicate entries" `Quick test_io_duplicate_entries;

@@ -38,6 +38,18 @@ let test_mixed_sibling_groups () =
   let tree = TB.build (TB.node "b" (TB.leaf "d" :: TB.replicate 3 (TB.leaf "c"))) in
   Alcotest.(check int) "b(c,c,d)" 6 (count_of tree "b(c,c,d)")
 
+let test_childless_and_mixed_groups () =
+  (* A group of childless members counts c (c - 1) ... (c - m + 1). *)
+  let a_with_bs k = TB.build (TB.node "a" (TB.replicate k (TB.leaf "b"))) in
+  Alcotest.(check int) "a(b,b,b) over five b's" 60 (count_of (a_with_bs 5) "a(b,b,b)");
+  Alcotest.(check int) "a(b,b,b) over two b's" 0 (count_of (a_with_bs 2) "a(b,b,b)");
+  (* Mixed group over b, b(c), b(c,c,c): b(c) goes to the second (1 way)
+     or third (3 ways) child and b to either other child, so 2 * 1 + 2 * 3. *)
+  let tree =
+    TB.build (TB.node "a" [ TB.leaf "b"; TB.node "b" [ TB.leaf "c" ]; TB.node "b" (TB.replicate 3 (TB.leaf "c")) ])
+  in
+  Alcotest.(check int) "a(b,b(c))" 8 (count_of tree "a(b,b(c))")
+
 let test_permanent_with_subtree_weights () =
   (* Two c-children with different subtree counts: c1 has 2 e's, c2 has 1 e.
      Query b(c(e),c(e)): injective assignments = 2*1 + 1*2 = 4. *)
@@ -146,14 +158,22 @@ let test_random_subtree_too_big () =
 
 (* --- the big property: DP counter == enumeration oracle ------------------------- *)
 
+let dp_equals_oracle ~max_size tree =
+  let ctx = Match_count.create_ctx tree in
+  List.for_all
+    (fun (tw, expected) -> Match_count.selectivity ctx tw = expected)
+    (Twig_enum.selectivities tree ~max_size)
+
 let prop_dp_equals_oracle =
   Helpers.qcheck_case ~name:"DP count equals brute-force oracle on random trees" ~count:60
-    (Helpers.tree_gen ~max_nodes:14)
-    (fun tree ->
-      let ctx = Match_count.create_ctx tree in
-      List.for_all
-        (fun (tw, expected) -> Match_count.selectivity ctx tw = expected)
-        (Twig_enum.selectivities tree ~max_size:4))
+    (Helpers.tree_gen ~max_nodes:14) (dp_equals_oracle ~max_size:4)
+
+(* Over two or three labels, groups of two or three same-label leaves and
+   groups mixing leaves with inner nodes are common, so both the closed
+   form and the hoisted sub-counts of the mask loop are exercised. *)
+let prop_dp_equals_oracle_few_labels =
+  Helpers.qcheck_case ~name:"few labels: DP count = oracle at max_size 5" ~count:60
+    (Helpers.few_labels_tree_gen ~max_nodes:14) (dp_equals_oracle ~max_size:5)
 
 let prop_downward_closure =
   Helpers.qcheck_case ~name:"occurring twigs have occurring sub-twigs" ~count:60
@@ -211,6 +231,7 @@ let () =
           Alcotest.test_case "fig1 shop" `Quick test_fig1_shop;
           Alcotest.test_case "repeated siblings" `Quick test_repeated_siblings_permanent;
           Alcotest.test_case "mixed sibling groups" `Quick test_mixed_sibling_groups;
+          Alcotest.test_case "childless and mixed groups" `Quick test_childless_and_mixed_groups;
           Alcotest.test_case "weighted permanent" `Quick test_permanent_with_subtree_weights;
           Alcotest.test_case "deep chain" `Quick test_deep_chain;
           Alcotest.test_case "fig11 document" `Quick test_fig11_document;
@@ -226,6 +247,7 @@ let () =
           Alcotest.test_case "random subtree occurs" `Quick test_random_subtree_is_occurring;
           Alcotest.test_case "random subtree too big" `Quick test_random_subtree_too_big;
           prop_dp_equals_oracle;
+          prop_dp_equals_oracle_few_labels;
           prop_downward_closure;
           prop_count_over_subset;
         ] );

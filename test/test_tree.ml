@@ -154,12 +154,15 @@ let prop_children_with_label_is_filter =
     (fun t ->
       let ok = ref true in
       Data_tree.iter_nodes t (fun v ->
-          for l = 0 to Data_tree.label_count t - 1 do
+          (* One label id past the last: no child carries it. *)
+          for l = 0 to Data_tree.label_count t do
             let expected =
               List.filter (fun c -> Data_tree.label t c = l) (Array.to_list (Data_tree.children t v))
             in
             if Array.to_list (Data_tree.children_with_label t v l) <> expected then ok := false;
-            if Data_tree.count_children_with_label t v l <> List.length expected then ok := false
+            if Data_tree.count_children_with_label t v l <> List.length expected then ok := false;
+            if Data_tree.fold_children_with_label t v l (fun acc c -> c :: acc) [] <> List.rev expected then
+              ok := false
           done);
       !ok)
 

@@ -119,31 +119,49 @@ let test_exact_counts () =
   Alcotest.(check int) "deep" 2 (count "store(book(price=30))");
   Alcotest.(check int) "absent value" 0 (count "book(title=zzz)")
 
+(* Sibling groups of repeated labels: three titles under one book, and
+   authors with and without names. *)
+let library =
+  {|<store>
+      <book><title>a</title><title>b</title><title>c</title><genre>cs</genre>
+        <author><name>x</name></author><author><name>y</name><name>z</name></author><author/></book>
+      <book><title>d</title><title>e</title><genre>art</genre><author><name>x</name></author><author/></book>
+      <book><title>f</title><genre>cs</genre><author><name>x</name></author></book>
+    </store>|}
+
 let test_exact_matches_enumeration_oracle () =
   (* Filtering enumerated structural matches by the predicates must agree
-     with the value DP. *)
-  let vt = shop () in
-  let tree = Value_tree.tree vt in
-  let q = parse vt "book(title,genre=cs)" in
-  let structural = Value_query.strip q in
-  let matches = Tl_twig.Match_enum.enumerate tree structural in
-  (* Canonical preorder of book(genre,title): figure out which index is the
-     genre node by label. *)
-  let ix = Twig.index structural in
-  let expected =
-    List.length
-      (List.filter
-         (fun assignment ->
-           let ok = ref true in
-           Array.iteri
-             (fun qi v ->
-               if ix.Twig.node_labels.(qi) = label vt "genre" then
-                 if Value_tree.value vt v <> Some "cs" then ok := false)
-             assignment;
-           !ok)
-         matches)
+     with the value DP.  A predicate constrains every query node carrying
+     its label, so each query below constrains all or none of a label's
+     nodes. *)
+  let check doc q =
+    let vt = vtree_of doc in
+    let q = parse vt q in
+    let structural = Value_query.strip q in
+    let labels = (Twig.index structural).Twig.node_labels in
+    let predicates = Value_query.predicates q in
+    let expected =
+      Tl_twig.Match_enum.enumerate (Value_tree.tree vt) structural
+      |> List.filter (fun assignment ->
+             Array.for_all2
+               (fun l v ->
+                 match List.assoc_opt l predicates with
+                 | Some value -> Value_tree.value vt v = Some value
+                 | None -> true)
+               labels assignment)
+      |> List.length
+    in
+    Alcotest.(check int) "DP = filtered enumeration" expected (Value_match.selectivity vt q)
   in
-  Alcotest.(check int) "DP = filtered enumeration" expected (Value_match.selectivity vt q)
+  check bookstore "book(title,genre=cs)";
+  (* A repeated-label group of childless nodes. *)
+  check library "book(title,title)";
+  check library "book(title,title,genre=cs)";
+  check library "store(book(title,title,title))";
+  (* Mixed groups: same-label members with and without children. *)
+  check library "book(author(name),author)";
+  check library "book(author(name=x),author,genre=cs)";
+  check library "book(author(name,name),author)"
 
 let test_rooted () =
   let vt = shop () in
