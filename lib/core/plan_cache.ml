@@ -76,7 +76,6 @@ let plan_key_hit t scheme key =
   match Tbl.find_opt shard.stbl k with
   | Some plan ->
     shard.local_hits <- shard.local_hits + 1;
-    Metrics.incr "plan_cache.hits";
     (check_plan t plan, true)
   | None ->
     Mutex.lock t.mutex;
@@ -84,7 +83,6 @@ let plan_key_hit t scheme key =
     (match shared with
     | Some plan ->
       Mutex.unlock t.mutex;
-      Metrics.incr "plan_cache.hits";
       store_local t shard k plan;
       (check_plan t plan, true)
     | None ->
@@ -92,7 +90,6 @@ let plan_key_hit t scheme key =
          query may compile twice, but the loser's plan is dropped in favor
          of the interned one, so every caller shares a single program. *)
       Mutex.unlock t.mutex;
-      Metrics.incr "plan_cache.misses";
       let plan = Estimator.Plan.compile t.summary scheme (Twig.Key.twig key) in
       Mutex.lock t.mutex;
       let plan =
@@ -108,7 +105,16 @@ let plan_key_hit t scheme key =
       store_local t shard k plan;
       (check_plan t plan, false))
 
-let plan_key t scheme key = fst (plan_key_hit t scheme key)
+(* Lookups are published by the caller, so a batch pays two counter
+   updates rather than one per distinct query. *)
+let count_lookups ~hits ~misses =
+  if hits > 0 then Metrics.add "plan_cache.hits" hits;
+  if misses > 0 then Metrics.add "plan_cache.misses" misses
+
+let plan_key t scheme key =
+  let plan, hit = plan_key_hit t scheme key in
+  if hit then count_lookups ~hits:1 ~misses:0 else count_lookups ~hits:0 ~misses:1;
+  plan
 
 let plan t scheme twig = plan_key t scheme (Twig.key (Twig.canonicalize twig))
 

@@ -12,7 +12,9 @@
     cache, so a replaced serving bundle frees every plan it compiled.
 
     Hits, misses (= compiles), and evictions are published to
-    {!Tl_obs.Metrics} under [plan_cache.*]. *)
+    {!Tl_obs.Metrics} under [plan_cache.*]: evictions as they happen,
+    hits and misses by {!plan_key} per call and by batch callers of
+    {!plan_key_hit} once per batch ({!count_lookups}). *)
 
 type t
 
@@ -45,7 +47,12 @@ val plan_key : t -> Estimator.scheme -> Tl_twig.Twig.Key.t -> Estimator.Plan.t
 val plan_key_hit : t -> Estimator.scheme -> Tl_twig.Twig.Key.t -> Estimator.Plan.t * bool
 (** {!plan_key} plus the cache-hit flag the serving audit log records:
     [true] when the plan was served from a shard or the shared table,
-    [false] when this call compiled it. *)
+    [false] when this call compiled it.  It publishes no hit or miss:
+    the caller adds its lookups with {!count_lookups}. *)
+
+val count_lookups : hits:int -> misses:int -> unit
+(** Add to the [plan_cache.hits] and [plan_cache.misses] counters (a
+    counter with nothing to add is left untouched). *)
 
 type stats = {
   size : int;  (** plans interned in the shared table *)

@@ -76,8 +76,9 @@ let record t ~key_id ~scheme ~estimate ~latency_ns ~plan_hit ~feedback_hit ~clam
     { seq; key_id; scheme; estimate; latency_ns; plan_hit; feedback_hit; clamped; rel_error };
   s.next <- (s.next + 1) mod t.capacity;
   if s.filled < t.capacity then s.filled <- s.filled + 1;
-  Metrics.incr "audit.records";
   Metrics.observe "serve.latency_ns" latency_ns
+
+let count_records n = if n > 0 then Metrics.add "audit.records" n
 
 let total t = Atomic.get t.seq
 

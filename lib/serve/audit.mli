@@ -18,10 +18,11 @@
     [test/test_serve.ml].
 
     Each ring holds the last [capacity] records of its domain; older
-    records are dropped (but still counted by {!total}).  Admissions are
-    also published to {!Tl_obs.Metrics} as the [audit.records] counter
-    and the [serve.latency_ns] histogram, so latency quantiles are
-    scrapeable without touching the log itself. *)
+    records are dropped (but still counted by {!total}).  Each admission
+    is also observed in the [serve.latency_ns] histogram of
+    {!Tl_obs.Metrics}, so latency quantiles are scrapeable without
+    touching the log itself; the [audit.records] counter is bumped once
+    per batch by {!count_records}. *)
 
 type record = {
   seq : int;  (** global admission order; unique per log *)
@@ -57,6 +58,11 @@ val record :
   unit
 (** Admit one record on the calling domain's shard.  Lock-free; safe from
     any domain, including pool workers mid-batch. *)
+
+val count_records : int -> unit
+(** Add [n] admissions to the [audit.records] counter.  {!record} leaves
+    the counter alone, so a batch pays one counter update, not one per
+    record. *)
 
 val total : t -> int
 (** Records ever admitted (including those rings have since dropped). *)

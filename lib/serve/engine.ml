@@ -35,11 +35,19 @@ let sanitize v =
     0.0
   end
 
+(* One distinct query's answer and whether its plan was cached.  The
+   lookup counters are the caller's to publish ([publish]).  Without an
+   audit log nothing else is recorded. *)
+let eval_plain ~scheme ?extra t key =
+  assert (Plan_cache.epoch t.cache = t.epoch);
+  let plan, plan_hit = Plan_cache.plan_key_hit t.cache scheme key in
+  (sanitize (Estimator.Plan.eval ?extra plan), plan_hit)
+
 (* The audited evaluation path.  It exists alongside the bare path (not
-   instead of it) so an engine without an audit log runs byte-for-byte
-   the code it ran before observability landed — the <= 5% overhead
-   budget is spent only when someone is listening.  [exact] is the drift
-   monitor's replayed truth for this query, when it sampled it. *)
+   instead of it) so an engine without an audit log pays for no clock
+   reads or records — the <= 5% overhead budget is spent only when
+   someone is listening.  [exact] is the drift monitor's replayed truth
+   for this query, when it sampled it. *)
 let eval_audited ~scheme ?extra ?exact t audit key =
   let t0 = Tl_util.Mono_clock.now_ns () in
   assert (Plan_cache.epoch t.cache = t.epoch);
@@ -62,14 +70,23 @@ let eval_audited ~scheme ?extra ?exact t audit key =
   Audit.record audit ~key_id:(Twig.Key.id key)
     ~scheme:(Estimator.scheme_name scheme) ~estimate:v ~latency_ns ~plan_hit ~feedback_hit
     ~clamped ~rel_error;
-  v
+  (v, plan_hit)
+
+(* The counters of [evaluated] distinct queries, [hits] of them served
+   from cached plans: one update per counter per call, not per query. *)
+let publish ?audit ~evaluated ~hits () =
+  Plan_cache.count_lookups ~hits ~misses:(evaluated - hits);
+  if Option.is_some audit then Audit.count_records evaluated
 
 let estimate_key ?scheme ?extra ?audit t key =
   let scheme = Option.value scheme ~default:t.scheme in
-  assert (Plan_cache.epoch t.cache = t.epoch);
-  match audit with
-  | None -> sanitize (Estimator.Plan.eval ?extra (Plan_cache.plan_key t.cache scheme key))
-  | Some audit -> eval_audited ~scheme ?extra t audit key
+  let v, hit =
+    match audit with
+    | None -> eval_plain ~scheme ?extra t key
+    | Some audit -> eval_audited ~scheme ?extra t audit key
+  in
+  publish ?audit ~evaluated:1 ~hits:(Bool.to_int hit) ();
+  v
 
 let estimate ?scheme ?extra ?audit t twig =
   estimate_key ?scheme ?extra ?audit t (Twig.key (Twig.canonicalize twig))
@@ -94,7 +111,8 @@ let batch_keys ?pool ?scheme ?extra ?audit ?monitor t keys =
   let scheme = Option.value scheme ~default:t.scheme in
   let n = Array.length keys in
   (* Serving batches repeat queries; evaluate each distinct key once and
-     scatter.  Dedup keys on interned ids — O(n) int hashing. *)
+     scatter.  Dedup keys on interned ids — O(n) int hashing.  Each
+     distinct key carries its slot [u]. *)
   let slot_of = Array.make n 0 in
   let index_of : (int, int) Hashtbl.t = Hashtbl.create (2 * n) in
   let rev_uniques = ref [] in
@@ -106,7 +124,7 @@ let batch_keys ?pool ?scheme ?extra ?audit ?monitor t keys =
     | None ->
       let u = !n_uniques in
       Hashtbl.replace index_of id u;
-      rev_uniques := keys.(i) :: !rev_uniques;
+      rev_uniques := (u, keys.(i)) :: !rev_uniques;
       incr n_uniques;
       slot_of.(i) <- u
   done;
@@ -118,33 +136,28 @@ let batch_keys ?pool ?scheme ?extra ?audit ?monitor t keys =
   let exacts =
     match monitor with
     | None -> [||]
-    | Some m -> Array.map (fun key -> Monitor.consider m key) uniques
+    | Some m -> Array.map (fun (_, key) -> Monitor.consider m key) uniques
   in
-  let unique_results =
+  let eval =
     match audit with
-    | None ->
-      (* No audit log: this is the pre-observability path, unchanged. *)
-      let eval key = estimate_key ~scheme ?extra t key in
-      (match pool with
-      | Some pool when Pool.domains pool > 1 ->
-        Pool.parallel_chunked_map pool ~cutoff:eval_parallel_cutoff ~cost:eval_cost
-          ~init:(fun () -> ()) (fun () -> eval) uniques
-      | _ -> Array.map eval uniques)
+    | None -> fun (_, key) -> eval_plain ~scheme ?extra t key
     | Some audit ->
-      let indexed = Array.mapi (fun u key -> (u, key)) uniques in
-      let eval (u, key) =
+      fun (u, key) ->
         let exact = if u < Array.length exacts then exacts.(u) else None in
         eval_audited ~scheme ?extra ?exact t audit key
-      in
-      (match pool with
-      | Some pool when Pool.domains pool > 1 ->
-        Pool.parallel_chunked_map pool ~cutoff:eval_parallel_cutoff
-          ~cost:(fun (_, key) -> eval_cost key)
-          ~init:(fun () -> ())
-          (fun () -> eval)
-          indexed
-      | _ -> Array.map eval indexed)
   in
+  let unique_results =
+    match pool with
+    | Some pool when Pool.domains pool > 1 ->
+      Pool.parallel_chunked_map pool ~cutoff:eval_parallel_cutoff
+        ~cost:(fun (_, key) -> eval_cost key)
+        ~init:(fun () -> ())
+        (fun () -> eval)
+        uniques
+    | _ -> Array.map eval uniques
+  in
+  let hits = Array.fold_left (fun acc (_, hit) -> if hit then acc + 1 else acc) 0 unique_results in
+  publish ?audit ~evaluated:!n_uniques ~hits ();
   (* Monitor observations run after the batch, on the caller domain, in
      unique order: window contents, gauges, and the alarm are then
      deterministic for a fixed seed and query sequence even when the
@@ -156,9 +169,9 @@ let batch_keys ?pool ?scheme ?extra ?audit ?monitor t keys =
       (fun u exact ->
         match exact with
         | None -> ()
-        | Some exact -> ignore (Monitor.observe m ~exact ~estimate:unique_results.(u)))
+        | Some exact -> ignore (Monitor.observe m ~exact ~estimate:(fst unique_results.(u))))
       exacts);
-  Array.map (fun u -> unique_results.(u)) slot_of
+  Array.map (fun u -> fst unique_results.(u)) slot_of
 
 let batch ?pool ?scheme ?extra ?audit ?monitor t twigs =
   batch_keys ?pool ?scheme ?extra ?audit ?monitor t

@@ -63,18 +63,16 @@ let answer ?pool registry lines =
     lines;
   List.iter
     (fun g ->
-      (* Walking the members newest first leaves [parsed] in input order. *)
-      let parsed =
-        List.fold_left
-          (fun acc idx ->
-            match Registry.parse_query g.bundle queries.(idx) with
-            | Ok p -> (idx, p) :: acc
-            | Error msg ->
-              answers.(idx) <- Failed msg;
-              acc)
-          [] g.members
-      in
-      match Array.of_list parsed with
+      let members = Array.of_list (List.rev g.members) in
+      let results = Registry.parse_queries g.bundle (Array.map (fun idx -> queries.(idx)) members) in
+      (* Walking back from the last member leaves [parsed] in input order. *)
+      let parsed = ref [] in
+      for i = Array.length members - 1 downto 0 do
+        match results.(i) with
+        | Ok p -> parsed := (members.(i), p) :: !parsed
+        | Error msg -> answers.(members.(i)) <- Failed msg
+      done;
+      match Array.of_list !parsed with
       | [||] -> ()
       | parsed ->
         let estimates =
@@ -93,23 +91,32 @@ let answer ?pool registry lines =
    runtime primitive, so the text is byte-identical. *)
 external format_float : string -> float -> string = "caml_format_float"
 
+(* The estimate prints as %.17g so a client reading it back gets the
+   bit-exact float the engine computed.  Most estimates are counts: an
+   integral value in [+0, 1e15) has at most 15 digits, so %.17g prints
+   it as plain digits, which [string_of_int] writes without the printf
+   machinery.  -0. keeps its sign through %.17g. *)
+let estimate_text v =
+  let i = int_of_float v in
+  if v < 1e15 && float_of_int i = v && not (Float.sign_bit v) then string_of_int i
+  else format_float "%.17g" v
+
 let render_error ~json buf msg =
   if json then
     Buffer.add_string buf (Printf.sprintf "{\"error\":\"%s\"}\n" (Prelude.json_escape msg))
   else Buffer.add_string buf (Printf.sprintf "error\t%s\n" msg)
 
-(* The estimate prints as %.17g so a client reading it back gets the
-   bit-exact float the engine computed; a text answer is that estimate
-   followed by its group's suffix. *)
+(* A text answer is the estimate followed by its group's suffix. *)
 let render ~json buf = function
   | Failed msg -> render_error ~json buf msg
   | Estimate (estimate, s) ->
     if json then
       Buffer.add_string buf
-        (Printf.sprintf "{\"estimate\":%.17g,\"epoch\":%d,\"dataset\":\"%s\",\"scheme\":\"%s\"}\n"
-           estimate s.epoch (Prelude.json_escape s.dataset) (Prelude.json_escape s.scheme))
+        (Printf.sprintf "{\"estimate\":%s,\"epoch\":%d,\"dataset\":\"%s\",\"scheme\":\"%s\"}\n"
+           (estimate_text estimate) s.epoch (Prelude.json_escape s.dataset)
+           (Prelude.json_escape s.scheme))
     else begin
-      Buffer.add_string buf (format_float "%.17g" estimate);
+      Buffer.add_string buf (estimate_text estimate);
       Buffer.add_string buf s.suffix
     end
 

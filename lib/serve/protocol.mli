@@ -19,12 +19,14 @@
     each group's current bundle once for the whole call: a concurrent
     {!Registry.swap} lands between calls, never inside one, and every
     answer carries the epoch it was actually served from.  Each group is
-    parsed with {!Registry.parse_query} and evaluated with one
+    parsed with one {!Registry.parse_queries} and evaluated with one
     {!Registry.batch}; answers come back in input order.
 
     {b Wire rendering} (the TCP front end).  Each answer is one line:
     tab-separated [ESTIMATE EPOCH DATASET SCHEME], the estimate printed
-    with [%.17g] so it round-trips bit-exactly, or [error<TAB>message]
+    as [%.17g] prints it, so it round-trips bit-exactly (an integral
+    estimate in [[+0, 1e15)] is written by [string_of_int], which gives
+    the same digits), or [error<TAB>message]
     for a line that does not parse.  In JSON mode each answer is instead
     a one-line object, [{"estimate":..,"epoch":..,"dataset":..,"scheme":..}]
     or [{"error":..}].  The server ends every batch with one blank line. *)

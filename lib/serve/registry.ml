@@ -180,11 +180,14 @@ let build_bundle t ~name ~epoch ~labels summary =
     let parsed =
       { pc_mutex = Mutex.create (); pc_lru = Text_lru.create ~capacity:(Engine.stats engine).capacity }
     in
+    (* The adaptive layer exists only to be fed: its one writer is the
+       drift monitor replaying against the dataset's own document.  Any
+       other bundle answers every plan with its compiled constant. *)
     let adaptive =
       match labels with
-      | Doc tree ->
+      | Doc tree when cfg.sample_rate > 0.0 && cfg.drift_tree = None ->
         Some (Adaptive.create (Treelattice.of_summary tree summary))
-      | Names _ -> None
+      | Doc _ | Names _ -> None
     in
     Ok
       {
@@ -421,33 +424,45 @@ let max_cached_line = 512
 
 (* The parse cache is the plan cache one layer up: it lives and dies with
    its bundle, so a swap starts empty and needs no invalidation.  Errors
-   are not cached; a malformed line re-parses to the same diagnosis. *)
-let parse_query b line =
+   are not cached; a malformed line re-parses to the same diagnosis.
+
+   [parse_locked] is entered and left with the cache lock held and drops
+   it only while a miss parses, so a warm batch takes the lock once, and
+   a line repeated within one call hits the entry its first occurrence
+   added.  Cache hits are counted into [hits]; the callers publish. *)
+let parse_locked b hits line =
   let pc = b.b_parsed in
   let cacheable = String.length line <= max_cached_line in
-  let cached =
-    if cacheable then begin
-      Mutex.lock pc.pc_mutex;
-      let found = Text_lru.find pc.pc_lru line in
-      Mutex.unlock pc.pc_mutex;
-      found
-    end
-    else None
-  in
-  match cached with
+  match if cacheable then Text_lru.find pc.pc_lru line else None with
   | Some parsed ->
-    Metrics.incr "registry.parse_cache_hits";
+    incr hits;
     Ok parsed
   | None ->
-    Metrics.incr "registry.parse_cache_misses";
+    Mutex.unlock pc.pc_mutex;
     let result = parse_uncached b line in
-    (match result with
-    | Ok parsed when cacheable ->
-      Mutex.lock pc.pc_mutex;
-      Text_lru.add pc.pc_lru line parsed;
-      Mutex.unlock pc.pc_mutex
-    | _ -> ());
+    Mutex.lock pc.pc_mutex;
+    (match result with Ok parsed when cacheable -> Text_lru.add pc.pc_lru line parsed | _ -> ());
     result
+
+let count_parses ~lines ~hits =
+  if hits > 0 then Metrics.add "registry.parse_cache_hits" hits;
+  if lines > hits then Metrics.add "registry.parse_cache_misses" (lines - hits)
+
+let parse_query b line =
+  let hits = ref 0 in
+  Mutex.lock b.b_parsed.pc_mutex;
+  let result = parse_locked b hits line in
+  Mutex.unlock b.b_parsed.pc_mutex;
+  count_parses ~lines:1 ~hits:!hits;
+  result
+
+let parse_queries b lines =
+  let hits = ref 0 in
+  Mutex.lock b.b_parsed.pc_mutex;
+  let results = Array.map (parse_locked b hits) lines in
+  Mutex.unlock b.b_parsed.pc_mutex;
+  count_parses ~lines:(Array.length lines) ~hits:!hits;
+  results
 
 (* --- serving ------------------------------------------------------------- *)
 

@@ -38,7 +38,12 @@ type bundle
 (** One immutable serving unit.  Everything reachable from a bundle —
     summary, engine, adaptive state, audit log, monitor — belongs to its
     epoch and is never mutated by a subsequent {!swap}; holding a bundle
-    across a swap is safe and serves consistent (if stale) answers. *)
+    across a swap is safe and serves consistent (if stale) answers.
+
+    A bundle has adaptive feedback state only when its drift monitor
+    feeds it: a document-backed dataset under a config with
+    [sample_rate > 0] and no [drift_tree].  Every other bundle answers
+    each query with its compiled plan's constant. *)
 
 type config = {
   scheme : Tl_core.Estimator.scheme;  (** estimation scheme for all bundles *)
@@ -172,8 +177,15 @@ val parse_query : bundle -> string -> (Tl_twig.Twig.t * (float -> float), string
     counts as a miss).  The cache is born empty with its bundle, so a
     swap never serves a stale transform. *)
 
+val parse_queries :
+  bundle -> string array -> (Tl_twig.Twig.t * (float -> float), string) result array
+(** {!parse_query} over each line, in order, with the same results and
+    counter totals.  A call takes the cache lock once (again only after
+    each miss, which parses unlocked) and bumps each counter once, not
+    once per line. *)
+
 val batch : ?pool:Tl_util.Pool.t -> bundle -> Tl_twig.Twig.t array -> float array
 (** {!Engine.batch} through the bundle's full serving stack: adaptive
-    feedback as the [?extra] source (document-backed bundles), the audit
-    ring, and the drift monitor when configured.  Also bumps the
+    feedback as the [?extra] source (only where a monitor feeds it; see
+    {!bundle}), the audit ring, and the drift monitor when configured.  Also bumps the
     per-dataset [serve.queries.<name>]/[serve.batches.<name>] counters. *)

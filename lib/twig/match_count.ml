@@ -35,6 +35,28 @@ let prepare twig =
       |> Array.of_list)
     ix.kids
 
+(* [ways.(mask)] is the weighted number of ways to place exactly the
+   query children in [mask] injectively among the data children seen so
+   far.  Descending mask order: reads of strictly smaller masks see the
+   pre-update values, so each data child is used at most once. *)
+let injective_assignments ~members:m subs =
+  let full = (1 lsl m) - 1 in
+  let ways = Array.make (full + 1) 0 in
+  ways.(0) <- 1;
+  for row = 0 to (Array.length subs / m) - 1 do
+    for mask = full downto 1 do
+      let acc = ref ways.(mask) in
+      for i = 0 to m - 1 do
+        if mask land (1 lsl i) <> 0 then begin
+          let sub = subs.((row * m) + i) in
+          if sub <> 0 then acc := !acc + (ways.(mask lxor (1 lsl i)) * sub)
+        end
+      done;
+      ways.(mask) <- !acc
+    done
+  done;
+  ways.(full)
+
 (* Count matches of query subtree [q] rooted exactly at data node [v],
    top-down: only descendants reachable through label-matching edges are
    ever visited, which is what makes counting patterns with frequent leaf
@@ -84,26 +106,7 @@ and group_count tree groups g v =
            done;
            row + 1)
          0);
-    (* [ways.(mask)] is the weighted number of ways to place exactly the
-       query children in [mask] injectively among the data children seen
-       so far.  Descending mask order: reads of strictly smaller masks see
-       the pre-update values, so each data child is used at most once. *)
-    let full = (1 lsl m) - 1 in
-    let ways = Array.make (full + 1) 0 in
-    ways.(0) <- 1;
-    for row = 0 to c - 1 do
-      for mask = full downto 1 do
-        let acc = ref ways.(mask) in
-        for i = 0 to m - 1 do
-          if mask land (1 lsl i) <> 0 then begin
-            let sub = subs.((row * m) + i) in
-            if sub <> 0 then acc := !acc + (ways.(mask lxor (1 lsl i)) * sub)
-          end
-        done;
-        ways.(mask) <- !acc
-      done
-    done;
-    ways.(full)
+    injective_assignments ~members:m subs
   end
 
 (* The one counting loop: every entry point is a choice of roots. *)

@@ -55,3 +55,11 @@ val selectivity_rooted : ctx -> Twig.t -> Tl_tree.Data_tree.node -> int
 
 val count : Tl_tree.Data_tree.t -> Twig.t -> int
 (** One-shot convenience: [selectivity (create_ctx tree) twig]. *)
+
+val injective_assignments : members:int -> int array -> int
+(** [injective_assignments ~members:m subs] is the permanent behind every
+    sibling group of [m >= 1] members: the weighted number of ways to
+    place the [m] query children on distinct data children, where
+    [subs.(row * m + i)] is the match count of query child [i] at the
+    group's [row]-th data child ([subs] holds whole rows).  Evaluated by
+    a descending subset-mask DP in O(rows * m * 2{^m}). *)

@@ -44,7 +44,8 @@ let value_ok vtree v = function
 (* No memo, as in {!Tl_twig.Match_count}: a pair (w, q) is reached only
    from (parent of w, parent of q), so the only repeated work would be a
    sibling group's mask loop, which reads sub-counts computed once per data
-   child. *)
+   child.  That loop is Match_count's own; only the value checks are
+   local. *)
 let run vtree query =
   let tree = Value_tree.tree vtree in
   let qnodes = prepare query in
@@ -78,22 +79,7 @@ let run vtree query =
              done;
              row + 1)
            0);
-      let full = (1 lsl m) - 1 in
-      let ways = Array.make (full + 1) 0 in
-      ways.(0) <- 1;
-      for row = 0 to c - 1 do
-        for mask = full downto 1 do
-          let acc = ref ways.(mask) in
-          for i = 0 to m - 1 do
-            if mask land (1 lsl i) <> 0 then begin
-              let sub = subs.((row * m) + i) in
-              if sub <> 0 then acc := !acc + (ways.(mask lxor (1 lsl i)) * sub)
-            end
-          done;
-          ways.(mask) <- !acc
-        done
-      done;
-      ways.(full)
+      Tl_twig.Match_count.injective_assignments ~members:m subs
     end
   in
   (qnodes, node_count)

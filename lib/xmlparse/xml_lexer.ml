@@ -48,9 +48,12 @@ let expect t c =
   if got <> c then error t (Printf.sprintf "expected %C but found %C" c got);
   advance t
 
-let looking_at t s =
-  let n = String.length s in
-  t.pos + n <= t.len && String.sub t.input t.pos n = s
+(* [s] from its [i]-th byte on sits at [input.[pos + i]]; the caller has
+   checked that it fits. *)
+let rec matches_at input pos s i =
+  i = String.length s || (input.[pos + i] = s.[i] && matches_at input pos s (i + 1))
+
+let looking_at t s = t.pos + String.length s <= t.len && matches_at t.input t.pos s 0
 
 let expect_string t s =
   if not (looking_at t s) then error t (Printf.sprintf "expected %S" s);

@@ -415,6 +415,31 @@ let test_parse_cache_skips_errors () =
   Alcotest.(check int) "errors are never cached" 0 (counter "registry.parse_cache_hits");
   Alcotest.(check int) "every call parsed" 6 (counter "registry.parse_cache_misses")
 
+(* The warm path bumps each counter once per call, and the totals still
+   count every line and every distinct evaluation: parse hits and misses
+   by hand (a repeat within one call hits the entry its first occurrence
+   added; an error is never cached), plan-cache lookups and audit
+   admissions against the structures' own counts. *)
+let test_batched_counters () =
+  Metrics.reset ();
+  let t = Registry.create () in
+  let b = Result.get_ok (Registry.install_document t ~name:"d" (Helpers.tree_of Helpers.fig11_spec)) in
+  let lines = [| "a(b(c,d))"; "a(b,b)"; "a(b(c,d))"; "oops("; "/a/b" |] in
+  for _ = 1 to 2 do
+    let twigs =
+      Array.to_list (Registry.parse_queries b lines)
+      |> List.filter_map (function Ok (twig, _) -> Some twig | Error _ -> None)
+    in
+    ignore (Registry.batch b (Array.of_list twigs))
+  done;
+  Alcotest.(check int) "parse hits: 1 cold, 4 warm" 5 (counter "registry.parse_cache_hits");
+  Alcotest.(check int) "parse misses: 4 cold, 1 warm" 5 (counter "registry.parse_cache_misses");
+  let s = Tl_serve.Engine.stats (Registry.engine b) in
+  Alcotest.(check (pair int int)) "3 distinct twigs compiled, then hit" (3, 3) (s.misses, s.hits);
+  Alcotest.(check int) "plan_cache.hits" s.hits (counter "plan_cache.hits");
+  Alcotest.(check int) "plan_cache.misses" s.misses (counter "plan_cache.misses");
+  Alcotest.(check int) "audit.records" (Tl_serve.Audit.total (Registry.audit b)) (counter "audit.records")
+
 (* A summary-only bundle scales anchored XPath by the root tag's level-1
    count in its own summary, so a swap that changes that count must change
    the answer — a transform cached under the old epoch must not leak. *)
@@ -475,6 +500,59 @@ let test_monitored_absent_tags () =
       Alcotest.(check int) (name ^ " labels flat") labels (Array.length (Registry.label_names b)))
     [ ("adaptive oracle", None); ("drift document", Some drift) ];
   Alcotest.(check int) "drift document labels flat" drift_labels (Data_tree.label_count drift)
+
+(* --- adaptive state only where a monitor feeds it ------------------------- *)
+
+module Workload = Tl_workload.Workload
+
+let xmark_tree () = Tl_datasets.Dataset.(tree xmark ~target:1500 ~seed:5)
+
+(* Occurring twigs of every size from [lo] to [hi] nodes. *)
+let occurring tree ~lo ~hi =
+  let ctx = Tl_twig.Match_count.create_ctx tree in
+  List.init (hi - lo + 1) (fun i -> lo + i)
+  |> List.concat_map (fun size ->
+         Array.to_list (Workload.positive ~seed:size ctx ~size ~count:12).Workload.queries)
+  |> Array.of_list
+
+(* Without a drift monitor nothing would ever feed an adaptive layer, so a
+   document-backed bundle builds none, and every answer is the plan's
+   compiled constant: the direct estimate, bit for bit. *)
+let test_no_adaptive_without_monitor () =
+  let tree = xmark_tree () in
+  let t = Registry.create () in
+  let b = Result.get_ok (Registry.install_document t ~name:"x" tree) in
+  Alcotest.(check bool) "no adaptive layer" true (Registry.adaptive b = None);
+  let twigs = Array.map (fun q -> q.Workload.twig) (occurring tree ~lo:2 ~hi:8) in
+  let expected = baseline (Registry.summary b) twigs in
+  Array.iteri
+    (fun i r -> check_bits (Twig.encode twigs.(i)) expected.(i) r)
+    (Registry.batch b twigs)
+
+(* A monitor replaying through the dataset's own document does feed the
+   adaptive layer: after one batch, a twig larger than the lattice answers
+   its exact count instead of its decomposed estimate. *)
+let test_monitor_feeds_adaptive () =
+  let tree = xmark_tree () in
+  let config = { Registry.default_config with sample_rate = 1.0 } in
+  let t = Registry.create ~config () in
+  let b = Result.get_ok (Registry.install_document t ~name:"x" tree) in
+  Alcotest.(check bool) "adaptive layer" true (Registry.adaptive b <> None);
+  let summary = Registry.summary b in
+  let q =
+    match
+      List.find_opt
+        (fun (q : Workload.query) ->
+          let direct = (baseline summary [| q.Workload.twig |]).(0) in
+          not (same_float direct (float_of_int q.Workload.truth)))
+        (Array.to_list (occurring tree ~lo:6 ~hi:6))
+    with
+    | Some q -> q
+    | None -> Alcotest.fail "every 6-node twig is estimated exactly"
+  in
+  ignore (Registry.batch b [| q.Workload.twig |]);
+  check_bits "exact after feedback" (float_of_int q.Workload.truth)
+    (Registry.batch b [| q.Workload.twig |]).(0)
 
 (* --- the acceptance stress ------------------------------------------------ *)
 
@@ -638,8 +716,15 @@ let () =
           Alcotest.test_case "bounded by the plan capacity" `Quick test_parse_cache_bounded;
           Alcotest.test_case "long lines parsed uncached" `Quick test_parse_cache_skips_long_lines;
           Alcotest.test_case "errors re-diagnosed on every call" `Quick test_parse_cache_skips_errors;
+          Alcotest.test_case "batched counters keep per-line totals" `Quick test_batched_counters;
           Alcotest.test_case "swap rescales anchored xpath" `Quick test_parse_cache_swap_rescales;
           Alcotest.test_case "monitored absent tags answer 0" `Quick test_monitored_absent_tags;
+        ] );
+      ( "adaptive",
+        [
+          Alcotest.test_case "no adaptive layer without a monitor" `Quick
+            test_no_adaptive_without_monitor;
+          Alcotest.test_case "a monitor feeds the adaptive layer" `Quick test_monitor_feeds_adaptive;
         ] );
       ( "stress",
         [

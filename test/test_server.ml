@@ -173,6 +173,47 @@ let test_json_mode () =
     Alcotest.(check bool) "error object" true (contains ~needle:"\"error\":" l1)
   | lines -> Alcotest.failf "expected 2 json answers, got %d" (List.length lines)
 
+(* [Protocol.render] writes every estimate exactly as [%.17g] does, in
+   text and JSON mode, the integral ones it prints without printf
+   included: drawn integral values
+   up to 2^53 either side of zero, arbitrary floats, and the edges of the
+   integral fast path. *)
+let test_render_matches_printf () =
+  let t, _, _ = registry_with_fig11 () in
+  let served =
+    match Protocol.answer t [| "a" |] with
+    | [| Protocol.Estimate (_, s) |] -> s
+    | _ -> Alcotest.fail "no served answer"
+  in
+  let render ~json v =
+    let buf = Buffer.create 64 in
+    Protocol.render ~json buf (Protocol.Estimate (v, served));
+    Buffer.contents buf
+  in
+  let text = render ~json:false in
+  let agrees v =
+    String.equal (text v) (Printf.sprintf "%.17g" v ^ served.Protocol.suffix)
+    && String.starts_with ~prefix:(Printf.sprintf "{\"estimate\":%.17g," v) (render ~json:true v)
+  in
+  let p53 = 2.0 ** 53.0 in
+  List.iter
+    (fun v ->
+      Alcotest.(check string)
+        (Printf.sprintf "%h" v)
+        (Printf.sprintf "%.17g" v ^ served.Protocol.suffix)
+        (text v);
+      Alcotest.(check bool) (Printf.sprintf "json %h" v) true (agrees v))
+    [ 0.; -0.; p53 -. 1.; p53; p53 +. 1.; 1e15 -. 1.; 1e15; 1e15 +. 1.; 1e17; 0.5; -3.;
+      Float.nan; Float.infinity; Float.neg_infinity; Float.max_float; Float.min_float ];
+  let bound = 1 lsl 53 in
+  let gen =
+    QCheck2.Gen.(
+      oneof
+        [ map Float.of_int (int_range (-bound) bound); map Float.of_int (int_range 0 1_000_000); float ])
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count:2000 ~name:"render = %.17g" ~print:(Printf.sprintf "%h") gen agrees)
+
 (* --- concurrent clients ---------------------------------------------------- *)
 
 (* N writer threads, each flushing several batches of known queries: the
@@ -561,6 +602,7 @@ let () =
             test_many_unknown_prefixes;
           Alcotest.test_case "Protocol.answer = TCP answers, bit for bit" `Quick
             test_protocol_answer_matches_tcp;
+          Alcotest.test_case "render = %.17g, integral or not" `Quick test_render_matches_printf;
         ] );
       ( "concurrency",
         [
