@@ -29,7 +29,7 @@ module Estimator = Tl_core.Estimator
 module Experiments = Tl_harness.Experiments
 module Registry = Tl_serve.Registry
 module Protocol = Tl_serve.Protocol
-module Server = Tl_serve.Server
+module Service = Tl_serve.Service
 
 (* A malformed document is a user error like a bad query: one diagnostic
    line on stderr and exit 1. *)
@@ -58,10 +58,6 @@ let jobs_arg =
         ~doc:
           "Domains for parallel mining and workload evaluation (default 1 = sequential; results \
            are identical for any N).")
-
-(* A 1-domain pool spawns nothing and runs sequentially, so the pool can be
-   created unconditionally. *)
-let pool_of_jobs jobs = Tl_util.Pool.create ~domains:(max 1 jobs) ()
 
 let scheme_conv =
   let parse = function
@@ -172,9 +168,10 @@ let summarize_cmd =
   let run obs xml k jobs output =
     with_obs obs @@ fun () ->
     let tree = load_tree xml in
-    let pool = pool_of_jobs jobs in
-    let summary, ms = Tl_util.Timer.time_ms (fun () -> Summary.build ~pool ~k tree) in
-    Tl_util.Pool.shutdown pool;
+    let summary, ms =
+      Tl_util.Pool.with_pool ~domains:(max 1 jobs) (fun pool ->
+          Tl_util.Timer.time_ms (fun () -> Summary.build ~pool ~k tree))
+    in
     Summary_io.save_file ~names:(Data_tree.label_names tree) output summary;
     Printf.printf "mined %d patterns (%.0f ms, %d bytes) -> %s\n" (Summary.entries summary) ms
       (Summary.memory_bytes summary) output
@@ -646,19 +643,17 @@ let serve_cmd =
             "Admission-queue bound: accepted TCP connections waiting for a worker beyond \
              $(docv) are shed with a 'busy' response (default 64).")
   in
-  let server_json_arg =
+  let json_arg =
     Arg.(
       value & flag
       & info [ "json" ]
           ~doc:"Answer TCP queries with one JSON object per line instead of tab-separated text.")
   in
   let run obs xml k scheme jobs datasets queries_file port port_file sample_rate drift_threshold
-      drift_xml audit_out linger listen server_port_file server_workers server_queue server_json =
+      drift_xml audit_out linger listen server_port_file server_workers server_queue json =
     with_obs obs @@ fun () ->
     Tl_util.Pool.with_pool ~domains:(max 1 jobs) @@ fun pool ->
-    let module Audit = Tl_serve.Audit in
-    let module Monitor = Tl_serve.Monitor in
-    let dataset_specs =
+    let datasets =
       List.map
         (fun spec ->
           (* Both sides must be non-empty: "NAME=" would otherwise surface
@@ -672,209 +667,40 @@ let serve_cmd =
             exit 2)
         datasets
     in
-    if xml = None && dataset_specs = [] then begin
+    if xml = None && datasets = [] then begin
       Printf.eprintf "serve: nothing to serve (pass --xml FILE and/or --dataset NAME=PATH)\n%!";
       exit 2
     end;
-    let registry =
-      Registry.create
-        ~config:
-          {
-            Registry.default_config with
-            Registry.scheme;
-            k;
-            sample_rate;
-            drift_threshold;
-            drift_tree = Option.map load_tree drift_xml;
-          }
-        ()
-    in
-    (* Startup installs fail fast — graceful degradation needs a previous
-       epoch to fall back to, and at startup there is none. *)
-    let installed name result ms =
-      match result with
-      | Ok b ->
-        Printf.eprintf "serve: dataset %s ready at epoch %d (%d entries) in %.0f ms\n%!" name
-          (Registry.epoch b)
-          (Summary.entries (Registry.summary b))
-          ms
-      | Error msg ->
-        Printf.eprintf "serve: dataset %s failed to load: %s\n%!" name msg;
-        exit 1
-    in
-    Option.iter
-      (fun path ->
-        let result, ms =
-          Tl_util.Timer.time_ms (fun () ->
-              Registry.install_document ~pool registry ~name:"default" ~source:path
-                (load_tree path))
-        in
-        installed "default" result ms)
-      xml;
-    List.iter
-      (fun (name, path) ->
-        let result, ms = Tl_util.Timer.time_ms (fun () -> Registry.load registry name path) in
-        installed name result ms)
-      dataset_specs;
-    let audit_route () =
-      (* Recent records across every dataset, each line tagged with the
-         dataset it was served from. *)
-      let buf = Buffer.create 4096 in
-      List.iter
-        (fun b ->
-          let tag = Printf.sprintf "{\"dataset\":\"%s\"," (Registry.name b) in
-          List.iter
-            (fun r ->
-              let json = Audit.record_json r in
-              Buffer.add_string buf (tag ^ String.sub json 1 (String.length json - 1));
-              Buffer.add_char buf '\n')
-            (List.rev (Audit.recent ~limit:256 (Registry.audit b))))
-        (Registry.list registry);
-      Tl_obs.Exporter.text (Buffer.contents buf)
-    in
-    let healthz_route () =
-      let monitors =
-        List.filter_map
-          (fun b -> Option.map (fun m -> (Registry.name b, Monitor.stats m)) (Registry.monitor b))
-          (Registry.list registry)
-      in
-      match monitors with
-      | [] -> Tl_obs.Exporter.text "ok\ndrift monitor off (enable with --sample-rate)\n"
-      | _ ->
-        (* Drift on ANY dataset flips health: a scraper watching one
-           endpoint must not miss a stale dataset among healthy ones.
-           The reload-failure alarm does NOT — the old epoch still
-           serves accurate answers. *)
-        let any_alarm = List.exists (fun (_, s) -> s.Monitor.alarm) monitors in
-        let buf = Buffer.create 256 in
-        Buffer.add_string buf (if any_alarm then "drift\n" else "ok\n");
-        List.iter
-          (fun (name, s) ->
-            Buffer.add_string buf (Printf.sprintf "%s: %s\n" name (Monitor.pp_stats s)))
-          monitors;
-        Tl_obs.Exporter.text ~status:(if any_alarm then 503 else 200) (Buffer.contents buf)
-    in
-    let datasets_route () = Tl_obs.Exporter.text (Registry.datasets_json registry) in
-    let exporter =
-      Tl_obs.Exporter.start ~port
-        ~routes:
-          [
-            ("/audit", audit_route); ("/healthz", healthz_route); ("/datasets", datasets_route);
-          ]
-        ()
-    in
-    let server =
-      Option.map
-        (fun sport ->
-          Server.start
-            ~config:
-              {
-                Server.default_config with
-                Server.port = sport;
-                workers = max 1 server_workers;
-                queue_capacity = max 1 server_queue;
-                json = server_json;
-              }
-            ~pool registry)
-        listen
-    in
-    (* Idempotent finalizer: reached through [Fun.protect] on the normal
-       path and straight from the SIGTERM handler — either way the TCP
-       front-end drains first (in-flight batches finish on their epoch),
-       then the HTTP endpoint stops, then the audit log flushes. *)
-    let finalized = Atomic.make false in
-    let shutdown () =
-      if not (Atomic.exchange finalized true) then begin
-        Option.iter
-          (fun s ->
-            let st = Server.stats s in
-            Server.stop s;
-            Printf.eprintf
-              "serve: tcp front-end drained (%d connection(s), %d query(ies), %d batch(es), %d \
-               shed)\n\
-               %!"
-              st.Server.connections st.Server.queries st.Server.batches st.Server.shed)
-          server;
-        Tl_obs.Exporter.stop exporter;
-        Option.iter
-          (fun path ->
-            let oc = open_out path in
-            let n =
-              List.fold_left
-                (fun acc b -> acc + Audit.dump_jsonl (Registry.audit b) oc)
-                0 (Registry.list registry)
-            in
-            close_out oc;
-            Printf.eprintf "serve: wrote %d audit record(s) to %s\n%!" n path)
-          audit_out
-      end
-    in
+    (* Both handlers go in before [Service.start] writes a port file.
+       SIGTERM drains the service once [start] has returned it; during
+       startup nothing is serving yet, so it just exits.  SIGHUP requests
+       a reload of every dataset; the flag is checked at loop iterations
+       and batch boundaries (best-effort while blocked on input — the
+       explicit `reload` control line is the deterministic path). *)
+    let service = Atomic.make None in
     (try
        ignore
          (Sys.signal Sys.sigterm
             (Sys.Signal_handle
                (fun _ ->
                  Printf.eprintf "serve: SIGTERM: draining\n%!";
-                 shutdown ();
+                 Option.iter Service.stop (Atomic.get service);
                  Stdlib.exit 0)))
      with Invalid_argument _ | Sys_error _ -> ());
-    (* SIGHUP requests a reload of every dataset; the flag is checked at
-       loop iterations and batch boundaries (best-effort while blocked on
-       input — the explicit `reload` control line is the deterministic
-       path). *)
     let sighup = Atomic.make false in
     (try ignore (Sys.signal Sys.sighup (Sys.Signal_handle (fun _ -> Atomic.set sighup true)))
      with Invalid_argument _ | Sys_error _ -> ());
-    let report_reload name = function
-      | Ok b ->
-        Printf.eprintf "serve: reloaded %s -> epoch %d (%d entries)\n%!" name (Registry.epoch b)
-          (Summary.entries (Registry.summary b))
-      | Error msg ->
-        Printf.eprintf "serve: reload %s failed: %s (previous epoch keeps serving)\n%!" name msg
+    let config =
+      { Service.xml; datasets; k; scheme; sample_rate; drift_threshold; drift_xml; port; port_file;
+        audit_out; listen; server_port_file; server_workers; server_queue; json }
     in
-    let reload_all_now () =
-      match Registry.reload_all registry with
-      | [] -> Printf.eprintf "serve: reload: no dataset has a recorded source\n%!"
-      | results -> List.iter (fun (name, r) -> report_reload name r) results
-    in
-    let handle_control line =
-      match List.filter (fun s -> s <> "") (String.split_on_char ' ' line) with
-      | [ "reload" ] -> reload_all_now ()
-      | [ "reload"; name ] -> report_reload name (Registry.reload registry name)
-      | [ "reload"; name; path ] -> report_reload name (Registry.load registry name path)
-      | _ -> Printf.eprintf "serve: bad control line %S (reload [NAME [PATH]])\n%!" line
-    in
+    let svc = try Service.start ~pool ~load_tree config with Failure _ -> exit 1 in
+    Atomic.set service (Some svc);
     let served = ref 0 and batches = ref 0 and skipped = ref 0 in
     (* [exit] would skip [Fun.protect]'s finalizer (it terminates without
        unwinding), so the malformed-line exit happens after shutdown. *)
-    (Fun.protect ~finally:shutdown @@ fun () ->
-    let bound = Tl_obs.Exporter.port exporter in
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        Printf.fprintf oc "%d\n" bound;
-        close_out oc)
-      port_file;
-    Printf.eprintf
-      "serve: listening on http://127.0.0.1:%d (/metrics /audit /healthz /datasets)\n%!" bound;
-    Option.iter
-      (fun s ->
-        let sport = Server.port s in
-        Option.iter
-          (fun path ->
-            let oc = open_out path in
-            Printf.fprintf oc "%d\n" sport;
-            close_out oc)
-          server_port_file;
-        Printf.eprintf "serve: tcp query front-end on 127.0.0.1:%d\n%!" sport)
-      server;
-    let ic, close_ic =
-      match queries_file with
-      | None -> (stdin, fun () -> ())
-      | Some path ->
-        let ic = open_in path in
-        (ic, fun () -> close_in ic)
-    in
+    (Fun.protect ~finally:(fun () -> Service.stop svc) @@ fun () ->
+    let ic = match queries_file with None -> stdin | Some path -> open_in path in
     (* The serving loop: accumulate lines, evaluate on each blank line and
        at end of input (a final batch with no trailing newline still
        flushes), answer on stdout as `line TAB estimate` in input order.
@@ -882,7 +708,7 @@ let serve_cmd =
        concurrent reload is picked up at the next flush, never mid-batch. *)
     let print_answers pending =
       let lines = Array.of_list (List.rev pending) in
-      let answers = Protocol.answer ~pool registry lines in
+      let answers = Protocol.answer ~pool (Service.registry svc) lines in
       let answered = ref 0 in
       Array.iteri
         (fun i answer ->
@@ -901,7 +727,7 @@ let serve_cmd =
     let check_sighup () =
       if Atomic.exchange sighup false then begin
         Printf.eprintf "serve: SIGHUP: reloading all datasets\n%!";
-        reload_all_now ()
+        Service.handle_control svc "reload"
       end
     in
     let rec loop pending =
@@ -915,7 +741,7 @@ let serve_cmd =
           loop []
         end
         else if line = "reload" || String.starts_with ~prefix:"reload " line then begin
-          handle_control line;
+          Service.handle_control svc line;
           loop pending
         end
         else
@@ -924,27 +750,12 @@ let serve_cmd =
           | _ -> loop (line :: pending))
     in
     loop [];
-    close_ic ();
+    if ic != stdin then close_in ic;
     if linger > 0.0 then begin
       Printf.eprintf "serve: input drained; endpoint up for another %.1f s\n%!" linger;
       Thread.delay linger
     end;
-    let bundles = Registry.list registry in
-    Printf.eprintf "serve: %d queries in %d batch(es), %d audit record(s) retained\n%!" !served
-      !batches
-      (List.fold_left (fun acc b -> acc + Audit.size (Registry.audit b)) 0 bundles);
-    let multi = List.length bundles > 1 in
-    List.iter
-      (fun b ->
-        match Registry.monitor b with
-        | None -> ()
-        | Some m ->
-          let s = Monitor.pp_stats (Monitor.stats m) in
-          if multi then Printf.eprintf "serve: %s %s\n%!" (Registry.name b) s
-          else Printf.eprintf "serve: %s\n%!" s)
-      bundles;
-    if Registry.alarm registry then
-      Printf.eprintf "serve: reload alarm raised (a reload failed; old epochs kept serving)\n%!");
+    Service.report svc ~queries:!served ~batches:!batches);
     if !skipped > 0 then begin
       Printf.eprintf "serve: %d malformed line(s) skipped\n%!" !skipped;
       exit 1
@@ -971,7 +782,7 @@ let serve_cmd =
       const run $ obs_term $ xml_opt_arg $ k_arg $ scheme_arg $ jobs_arg $ dataset_arg
       $ queries_arg $ port_arg $ port_file_arg $ sample_rate_arg $ drift_threshold_arg
       $ drift_xml_arg $ audit_out_arg $ linger_arg $ listen_arg $ server_port_file_arg
-      $ server_workers_arg $ server_queue_arg $ server_json_arg)
+      $ server_workers_arg $ server_queue_arg $ json_arg)
 
 (* --- prune ------------------------------------------------------------------- *)
 

@@ -124,31 +124,34 @@ let serve_loop t =
       (try Unix.close fd with Unix.Unix_error _ -> ())
   done
 
-(* A scraper that disconnects mid-response must surface as an EPIPE error
-   (which the accept loop already swallows), not as a process-killing
-   SIGPIPE — the default signal disposition would let any impatient
-   client take down the whole serving process. *)
-let ignore_sigpipe =
-  lazy (if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore)
+let listen ~host ~port ~backlog =
+  (* A client that disconnects mid-response must surface as an EPIPE
+     error (which the accept loops already swallow), not as a
+     process-killing SIGPIPE — the default signal disposition would let
+     any impatient client take down the whole serving process. *)
+  if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (try
+     Unix.setsockopt sock Unix.SO_REUSEADDR true;
+     Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+     Unix.listen sock backlog
+   with e ->
+     (try Unix.close sock with Unix.Unix_error _ -> ());
+     raise e);
+  (sock, match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port)
+
+(* A blocked [accept] is not reliably woken by closing its fd, so a stop
+   nudges it with a throwaway loopback connection. *)
+let wake ~host ~port =
+  try
+    let c = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    (try Unix.connect c (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
+     with Unix.Unix_error _ -> ());
+    Unix.close c
+  with Unix.Unix_error _ -> ()
 
 let start ?(host = "127.0.0.1") ?(port = 0) ?(timeout = 5.0) ?(routes = []) () =
-  Lazy.force ignore_sigpipe;
-  let addr = Unix.inet_addr_of_string host in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let ok =
-    try
-      Unix.setsockopt sock Unix.SO_REUSEADDR true;
-      Unix.bind sock (Unix.ADDR_INET (addr, port));
-      Unix.listen sock 16;
-      true
-    with e ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      raise e
-  in
-  ignore ok;
-  let port =
-    match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port
-  in
+  let sock, port = listen ~host ~port ~backlog:16 in
   let routes =
     if List.mem_assoc "/metrics" routes then routes else routes @ [ ("/metrics", default_metrics) ]
   in
@@ -162,17 +165,10 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(timeout = 5.0) ?(routes = []) () =
 
 let port t = t.port
 
-(* A blocked [accept] is not reliably woken by closing its fd, so stop
-   nudges the loop with a throwaway loopback connection before joining. *)
 let stop t =
   if not (Atomic.get t.stopping) then begin
     Atomic.set t.stopping true;
-    (try
-       let c = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-       (try Unix.connect c (Unix.ADDR_INET (Unix.inet_addr_of_string t.host, t.port))
-        with Unix.Unix_error _ -> ());
-       Unix.close c
-     with Unix.Unix_error _ -> ());
+    wake ~host:t.host ~port:t.port;
     Option.iter Thread.join t.thread;
     try Unix.close t.sock with Unix.Unix_error _ -> ()
   end

@@ -52,8 +52,8 @@ val stop : t -> unit
 (** {1 Socket plumbing shared with other servers}
 
     The TCP query front-end ({!Tl_serve.Server}) faces the same transient
-    socket errors as a scrape endpoint; it reuses this module's write
-    discipline instead of growing a second, subtly different copy. *)
+    socket errors as a scrape endpoint; it reuses this module's binding,
+    wake-up and write discipline instead of growing a second copy. *)
 
 val write_all : Unix.file_descr -> string -> unit
 (** Write the whole string, retrying [EINTR] and up to four consecutive
@@ -61,7 +61,10 @@ val write_all : Unix.file_descr -> string -> unit
     ([EPIPE]/[ECONNRESET]/[ETIMEDOUT]) or a persistent stall raises
     [Exit], which callers treat as "drop this connection". *)
 
-val ignore_sigpipe : unit Lazy.t
-(** Force once before serving sockets: turns a client disconnect into an
-    [EPIPE] error on the write path instead of a process-killing
-    SIGPIPE. *)
+val listen : host:string -> port:int -> backlog:int -> Unix.file_descr * int
+(** A listening socket bound to [host]:[port] and the port it got.  A
+    client disconnect then surfaces as [EPIPE] on the write path, not as
+    a process-killing SIGPIPE. *)
+
+val wake : host:string -> port:int -> unit
+(** Wake an [accept] blocked on [host]:[port] with a throwaway connection. *)

@@ -133,19 +133,15 @@ let reset t =
 
 (* --- JSONL ---------------------------------------------------------------- *)
 
-let record_json (r : record) =
+let record_json ?dataset (r : record) =
+  let tag =
+    match dataset with
+    | None -> ""
+    | Some d -> Printf.sprintf {|"dataset":"%s",|} (Tl_util.Prelude.json_escape d)
+  in
   Printf.sprintf
-    {|{"seq":%d,"key":%d,"scheme":"%s","estimate":%.6g,"latency_ns":%d,"plan_hit":%b,"feedback_hit":%b,"clamped":%b,"rel_error":%s}|}
-    r.seq r.key_id
+    {|{%s"seq":%d,"key":%d,"scheme":"%s","estimate":%.6g,"latency_ns":%d,"plan_hit":%b,"feedback_hit":%b,"clamped":%b,"rel_error":%s}|}
+    tag r.seq r.key_id
     (Tl_util.Prelude.json_escape r.scheme)
     r.estimate r.latency_ns r.plan_hit r.feedback_hit r.clamped
     (if Float.is_nan r.rel_error then "null" else Printf.sprintf "%.6g" r.rel_error)
-
-let dump_jsonl ?limit t oc =
-  let rs = match limit with None -> records t | Some l -> List.rev (recent ~limit:l t) in
-  List.iter
-    (fun r ->
-      output_string oc (record_json r);
-      output_char oc '\n')
-    rs;
-  List.length rs

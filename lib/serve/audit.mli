@@ -87,13 +87,10 @@ val top_uncertain : ?k:int -> t -> record list
     descending measured relative error.  Unsampled, unclamped records
     never appear. *)
 
-val record_json : record -> string
+val record_json : ?dataset:string -> record -> string
 (** One record as a single-line JSON object ([rel_error] is [null] when
-    the monitor did not sample the query). *)
-
-val dump_jsonl : ?limit:int -> t -> out_channel -> int
-(** Write held records as JSON Lines, oldest first ([limit] restricts to
-    the newest records); returns the number written. *)
+    the monitor did not sample the query), led by an escaped
+    ["dataset"] field when [dataset] is given. *)
 
 val reset : t -> unit
 (** Drop all held records on every shard ({!total} keeps counting). *)

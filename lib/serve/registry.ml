@@ -284,56 +284,44 @@ let load t name path =
     | exception e -> fail t (Printf.sprintf "%s: %s" path (Printexc.to_string e))
     | tree -> install_document t ~name ~source:path tree
   else
-    let target = find t name in
-    let result =
-      match target with
-      | Some { b_labels = Doc tree; _ } ->
-        (* The satellite label-mismatch guard: a summary routed to a
-           document-backed dataset is re-keyed by tag name into the
-           document's interner, and a name the document lacks proves the
-           summary was not built from (a relabeling of) this document. *)
-        let intern tag =
-          match Data_tree.label_of_string tree tag with
-          | Some l -> l
-          | None ->
-            raise
-              (Summary_io.Format_error
-                 (Printf.sprintf "summary label %S does not occur in dataset %S's document" tag name))
-        in
-        (match Summary_io.load_file ~intern path with
-        | exception Summary_io.Format_error msg -> fail t (Printf.sprintf "%s: %s" path msg)
-        | exception Sys_error msg -> fail t msg
-        | summary, _names -> install t ~name ~source:path ~labels:(Doc tree) summary)
-      | Some { b_labels = Names _; _ } | None -> (
-        match Summary_io.load_file path with
-        | exception Summary_io.Format_error msg -> fail t (Printf.sprintf "%s: %s" path msg)
-        | exception Sys_error msg -> fail t msg
-        | summary, names -> install_summary t ~name ~source:path ~names summary)
-    in
-    (match result with Error _ -> () | Ok _ -> ());
-    result
+    match find t name with
+    | Some { b_labels = Doc tree; _ } ->
+      (* The satellite label-mismatch guard: a summary routed to a
+         document-backed dataset is re-keyed by tag name into the
+         document's interner, and a name the document lacks proves the
+         summary was not built from (a relabeling of) this document. *)
+      let intern tag =
+        match Data_tree.label_of_string tree tag with
+        | Some l -> l
+        | None ->
+          raise
+            (Summary_io.Format_error
+               (Printf.sprintf "summary label %S does not occur in dataset %S's document" tag name))
+      in
+      (match Summary_io.load_file ~intern path with
+      | exception Summary_io.Format_error msg -> fail t (Printf.sprintf "%s: %s" path msg)
+      | exception Sys_error msg -> fail t msg
+      | summary, _names -> install t ~name ~source:path ~labels:(Doc tree) summary)
+    | Some { b_labels = Names _; _ } | None -> (
+      match Summary_io.load_file path with
+      | exception Summary_io.Format_error msg -> fail t (Printf.sprintf "%s: %s" path msg)
+      | exception Sys_error msg -> fail t msg
+      | summary, names -> install_summary t ~name ~source:path ~names summary)
+
+let source t name =
+  Mutex.lock t.mutex;
+  let s = Option.bind (Hashtbl.find_opt t.table name) (fun ds -> ds.d_source) in
+  Mutex.unlock t.mutex;
+  s
 
 let reload t name =
-  let source =
-    Mutex.lock t.mutex;
-    let s = Option.bind (Hashtbl.find_opt t.table name) (fun ds -> ds.d_source) in
-    Mutex.unlock t.mutex;
-    s
-  in
-  match source with
+  match source t name with
   | None -> fail t (Printf.sprintf "dataset %S has no recorded source to reload from" name)
   | Some path -> load t name path
 
 let reload_all t =
   List.filter_map
-    (fun name ->
-      let has_source =
-        Mutex.lock t.mutex;
-        let s = Option.bind (Hashtbl.find_opt t.table name) (fun ds -> ds.d_source) in
-        Mutex.unlock t.mutex;
-        Option.is_some s
-      in
-      if has_source then Some (name, reload t name) else None)
+    (fun name -> Option.map (fun _ -> (name, reload t name)) (source t name))
     (dataset_names t)
 
 (* --- bundle accessors ---------------------------------------------------- *)

@@ -15,8 +15,8 @@
    [workers + queue_capacity] connections, a constant chosen at startup,
    each holding at most one bounded line.  Slow clients are bounded twice
    — per-socket read/write timeouts (the [Exporter] EINTR/EAGAIN
-   discipline) and a per-batch deadline that cuts a connection trickling
-   one batch forever.
+   discipline) and a batch deadline, counted from the last response, that
+   cuts a connection trickling, idling or sending only comments.
 
    Routing, pinning and the answer format live in [Protocol]. *)
 
@@ -106,15 +106,16 @@ type read_result = Line of string | Eof | Abort | Cut of string
 (* One growable receive buffer per connection.  Bytes [pos, len) are
    received but not yet framed, and [pos, scanned) of them are known to
    hold no newline, so each byte is searched once and a line is copied
-   once, however long the buffered tail.  [batch_start] is when the
-   batch now arriving began: its first unframed byte or framed line. *)
+   once, however long the buffered tail.  [clock] is when the worker
+   took the connection or last wrote a response: the batch deadline runs
+   from there, so idling, trickling and ['#']-only clients all meet it. *)
 type conn = {
   fd : Unix.file_descr;
   mutable buf : Bytes.t;
   mutable pos : int;
   mutable scanned : int;
   mutable len : int;
-  mutable batch_start : int option;
+  mutable clock : int;
 }
 
 let read_size = 4096
@@ -157,22 +158,20 @@ let compact conn =
   conn.len <- live
 
 let deadline_exceeded t conn =
-  match conn.batch_start with
-  | None -> false
-  | Some start -> Clock.elapsed_ns ~since:start > int_of_float (t.config.batch_deadline *. 1e9)
+  Clock.elapsed_ns ~since:conn.clock > int_of_float (t.config.batch_deadline *. 1e9)
 
 let too_long = Cut (Printf.sprintf "line longer than %d bytes" max_line)
 
 (* One line, bounded.  [EAGAIN] here means the receive timeout expired
-   with no bytes: an idle client between batches is fine and keeps
-   waiting, but one inside a batch is checked against the batch deadline,
-   and a draining server treats the lull as end of input so the pending
-   batch can be answered and the connection closed.  Bytes of a line not
-   yet framed already count as a batch under way, so a client trickling
-   a line that never ends meets the deadline too. *)
+   with no bytes; every pass checks the batch deadline, so a client that
+   sends nothing, or a line that never ends, is cut on time, and a
+   draining server treats the lull as end of input so the pending batch
+   can be answered and the connection closed. *)
 let rec next_line t conn =
-  if deadline_exceeded t conn then
+  if deadline_exceeded t conn then begin
+    Metrics.incr "server.deadline_cuts";
     Cut (Printf.sprintf "batch deadline (%.1fs) exceeded" t.config.batch_deadline)
+  end
   else
     match index_newline conn.buf conn.scanned conn.len with
     | i when i - conn.pos > max_line -> too_long
@@ -180,8 +179,6 @@ let rec next_line t conn =
     | _ when conn.len - conn.pos > max_line -> too_long
     | _ -> (
       conn.scanned <- conn.len;
-      if conn.pos < conn.len && conn.batch_start = None then
-        conn.batch_start <- Some (Clock.now_ns ());
       compact conn;
       match Unix.read conn.fd conn.buf conn.len (Bytes.length conn.buf - conn.len) with
       | 0 ->
@@ -198,11 +195,10 @@ let rec next_line t conn =
 
 let serve_conn t fd =
   let conn =
-    { fd; buf = Bytes.create initial_size; pos = 0; scanned = 0; len = 0; batch_start = None }
+    { fd; buf = Bytes.create initial_size; pos = 0; scanned = 0; len = 0; clock = Clock.now_ns () }
   in
   let pending = ref [] in
   let flush_pending () =
-    conn.batch_start <- None;
     if !pending <> [] then begin
       let payload = serve_batch t (Array.of_list (List.rev !pending)) in
       pending := [];
@@ -210,18 +206,16 @@ let serve_conn t fd =
     end
     else
       (* An empty flush still acknowledges: one blank line. *)
-      Exporter.write_all fd "\n"
+      Exporter.write_all fd "\n";
+    conn.clock <- Clock.now_ns ()
   in
   let rec go () =
     match next_line t conn with
     | Line "" ->
       flush_pending ();
       go ()
-    | Line line when line.[0] = '#' ->
-      if !pending = [] then conn.batch_start <- None;
-      go ()
+    | Line line when line.[0] = '#' -> go ()
     | Line line ->
-      if conn.batch_start = None then conn.batch_start <- Some (Clock.now_ns ());
       pending := line :: !pending;
       go ()
     | Eof -> if !pending <> [] then flush_pending ()
@@ -292,7 +286,8 @@ let acceptor_loop t =
         ignore (Atomic.fetch_and_add t.n_connections 1);
         Metrics.incr "server.connections";
         (try
-           Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.socket_timeout;
+           Unix.setsockopt_float fd Unix.SO_RCVTIMEO
+             (Float.min t.config.socket_timeout t.config.batch_deadline);
            Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.socket_timeout
          with Unix.Unix_error _ -> ());
         Mutex.lock t.qmutex;
@@ -317,6 +312,7 @@ let describe_metrics =
      Metrics.describe "server.queries" "Queries answered over TCP (including error answers)";
      Metrics.describe "server.batches" "Query batches flushed over TCP";
      Metrics.describe "server.shed_total" "Connections shed by admission control";
+     Metrics.describe "server.deadline_cuts" "Connections cut by the batch deadline";
      Metrics.describe "server.queue_depth" "Accepted connections waiting for a worker";
      Metrics.describe "server.active_connections" "Connections currently being served";
      Metrics.describe "server.request_ns" "Per-batch evaluation latency (ns)";
@@ -327,11 +323,11 @@ let describe_metrics =
      Metrics.add "server.queries" 0;
      Metrics.add "server.batches" 0;
      Metrics.add "server.shed_total" 0;
+     Metrics.add "server.deadline_cuts" 0;
      Metrics.set_gauge "server.queue_depth" 0;
      Metrics.set_gauge "server.active_connections" 0)
 
 let start ?(config = default_config) ?pool registry =
-  Lazy.force Exporter.ignore_sigpipe;
   Lazy.force describe_metrics;
   let config =
     {
@@ -342,17 +338,9 @@ let start ?(config = default_config) ?pool registry =
       batch_deadline = Float.max 0.01 config.batch_deadline;
     }
   in
-  let addr = Unix.inet_addr_of_string config.host in
-  let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt sock Unix.SO_REUSEADDR true;
-     Unix.bind sock (Unix.ADDR_INET (addr, config.port));
-     Unix.listen sock (config.queue_capacity + config.workers)
-   with e ->
-     (try Unix.close sock with Unix.Unix_error _ -> ());
-     raise e);
-  let bound_port =
-    match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> config.port
+  let sock, bound_port =
+    Exporter.listen ~host:config.host ~port:config.port
+      ~backlog:(config.queue_capacity + config.workers)
   in
   let t =
     {
@@ -382,9 +370,7 @@ let start ?(config = default_config) ?pool registry =
   Tl_obs.Log.info (fun m -> m "server listening on %s:%d" config.host bound_port);
   t
 
-(* A blocked [accept] is not reliably woken by closing its fd, so stop
-   nudges the acceptor with a throwaway loopback connection (the same
-   trick the exporter uses), then drains:
+(* Stop wakes the acceptor ([Exporter.wake]), then drains:
 
    1. queued-but-unstarted connections are busy-shed — they never got a
       worker, so [busy] is the honest answer;
@@ -397,13 +383,7 @@ let start ?(config = default_config) ?pool registry =
 let stop t =
   if not (Atomic.exchange t.stopped true) then begin
     Atomic.set t.stopping true;
-    (try
-       let nudge = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-       (try
-          Unix.connect nudge (Unix.ADDR_INET (Unix.inet_addr_of_string t.config.host, t.bound_port))
-        with Unix.Unix_error _ -> ());
-       Unix.close nudge
-     with Unix.Unix_error _ -> ());
+    Exporter.wake ~host:t.config.host ~port:t.bound_port;
     Option.iter Thread.join t.acceptor;
     t.acceptor <- None;
     let drained = ref [] in

@@ -21,14 +21,13 @@
       internally so worker threads need no extra coordination);
     - {b deadlines and timeouts}: every socket read and write is bounded
       by [socket_timeout] following the {!Tl_obs.Exporter} EINTR/EAGAIN
-      discipline, and a batch that trickles in for longer than
-      [batch_deadline] — counted from its first byte, framed or not — is
-      answered with an error and cut;
+      discipline, and a connection that goes [batch_deadline] without a
+      response — idle, trickling or sending only ['#'] lines — is
+      answered with an error and cut, so no client holds its worker
+      longer than that per response;
     - {b bounded lines}: a line longer than 1 MiB is answered with one
       error line and the connection is closed, so a client that never
-      sends a newline cannot grow the receive buffer without limit.
-      Worker occupancy is not bounded: a client idle between batches, or
-      sending only ['#'] lines, holds its worker until it closes;
+      sends a newline cannot grow the receive buffer without limit;
     - {b graceful drain}: {!stop} stops accepting, busy-sheds the
       queued-but-unstarted connections, half-closes the receive side of
       every in-flight connection so its current batch finishes {e on the
@@ -41,7 +40,7 @@
     every response line carries the epoch it was served from.
 
     Metrics: [tl_server_connections], [tl_server_queries_total],
-    [tl_server_batches_total], [tl_server_shed_total],
+    [tl_server_batches_total], [tl_server_shed_total], [tl_server_deadline_cuts],
     [tl_server_queue_depth] / [tl_server_active_connections] gauges, and
     the [tl_server_request_ns] per-batch latency histogram. *)
 
@@ -51,7 +50,7 @@ type config = {
   workers : int;  (** serving threads (clamped to [>= 1]) *)
   queue_capacity : int;  (** admission-queue bound (clamped to [>= 1]) *)
   socket_timeout : float;  (** per-socket read/write timeout, seconds *)
-  batch_deadline : float;  (** max seconds one batch may take to arrive *)
+  batch_deadline : float;  (** max seconds from taking a connection, or from a response, to the next *)
   json : bool;  (** answer with JSON objects instead of tab-separated text *)
 }
 

@@ -344,7 +344,7 @@ let test_framing_matches_one_write () =
   ignore (same_as_one_write ~pause:0.0005 "100 KB line" huge (chunks 1000 huge))
 
 (* A client trickling one byte every 50 ms and never a newline: the batch
-   deadline counts from the first unframed byte, so the connection is cut
+   deadline counts from when the worker took the connection, so it is cut
    with the deadline error instead of holding its worker forever. *)
 let test_trickled_line_meets_deadline () =
   let t, _, _ = registry_with_fig11 () in
@@ -556,6 +556,53 @@ let test_tiny_queue_sheds () =
   | _ -> Alcotest.fail "queued connection must serve after the holder");
   (try Unix.close queued_fd with Unix.Unix_error _ -> ())
 
+(* Whatever [fd] sends within [secs] seconds, up to its first blank
+   line (the batch terminator) or its close. *)
+let read_within fd secs =
+  let got = Buffer.create 64 and chunk = Bytes.create 4096 in
+  let t0 = Unix.gettimeofday () in
+  let rec go () =
+    let left = secs -. (Unix.gettimeofday () -. t0) in
+    if left > 0.0 && not (contains ~needle:"\n\n" (Buffer.contents got)) then
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> ()
+      | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | n ->
+          Buffer.add_subbytes got chunk 0 n;
+          go ()
+        | exception Unix.Unix_error _ -> ())
+  in
+  go ();
+  Buffer.contents got
+
+(* One worker, held by a client that connects and never sends a byte: the
+   deadline clock runs from when the worker took the connection, so the
+   idle client is cut and a second client's batch is answered. *)
+let test_idle_client_releases_worker () =
+  Metrics.reset ();
+  let t, _, _ = registry_with_fig11 () in
+  let config = { Server.default_config with Server.workers = 1; batch_deadline = 0.3 } in
+  with_server ~config t @@ fun server ->
+  let port = Server.port server in
+  let idle = connect port in
+  Fun.protect ~finally:(fun () -> try Unix.close idle with Unix.Unix_error _ -> ()) @@ fun () ->
+  Thread.delay 0.1;
+  let busy = connect port in
+  Fun.protect ~finally:(fun () -> try Unix.close busy with Unix.Unix_error _ -> ()) @@ fun () ->
+  ignore (Unix.write_substring busy "a(b,b)\n\n" 0 8);
+  let t0 = Unix.gettimeofday () in
+  let answer = read_within busy 2.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "second client answered within 2 s (got %S after %.2f s)" answer
+       (Unix.gettimeofday () -. t0))
+    true
+    (contains ~needle:"\td\t" answer);
+  Alcotest.(check string) "the idle client is cut with the deadline error"
+    "error\tbatch deadline (0.3s) exceeded\n\n" (read_within idle 2.0);
+  Alcotest.(check bool) "cut counted" true (counter "server.deadline_cuts" >= 1)
+
 (* --- graceful drain -------------------------------------------------------- *)
 
 let test_stop_drains_in_flight_batch () =
@@ -624,7 +671,11 @@ let () =
             test_unknown_tags_never_intern;
         ] );
       ( "admission",
-        [ Alcotest.test_case "tiny queue sheds with busy" `Quick test_tiny_queue_sheds ] );
+        [
+          Alcotest.test_case "tiny queue sheds with busy" `Quick test_tiny_queue_sheds;
+          Alcotest.test_case "an idle client releases its worker" `Quick
+            test_idle_client_releases_worker;
+        ] );
       ( "drain",
         [
           Alcotest.test_case "stop answers in-flight batches" `Quick
