@@ -238,42 +238,61 @@ let mine_cmd =
     (Cmd.info "mine" ~doc:"Print occurring-pattern statistics of an XML document.")
     Term.(const run $ obs_term $ xml_arg $ k_arg $ jobs_arg $ top)
 
-(* --- estimate --------------------------------------------------------------- *)
+(* --- query text ------------------------------------------------------------- *)
 
-let estimate_cmd =
-  let query =
-    Arg.(
-      required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc:"Twig query, e.g. 'a(b,c(d))'.")
-  in
+let query_arg =
+  Arg.(
+    required & pos 0 (some string) None
+    & info [] ~docv:"QUERY" ~doc:"Twig or XPath query, e.g. 'a(b,c(d))' or '//a[b][c/d]'.")
+
+(* The query read against [tree]'s tags by Tl_twig.Query, and names for its
+   labels, unknown tags included.  A malformed query exits 1, as does an
+   anchored one when [unanchored_only] names a subcommand that cannot
+   honour the anchoring. *)
+let query_of_text ?unanchored_only tree text =
+  let size = Data_tree.label_count tree in
+  match (Tl_twig.Query.parse ~size ~find:(Data_tree.label_of_string tree) text, unanchored_only) with
+  | Error msg, _ ->
+    prerr_endline msg;
+    exit 1
+  | Ok { anchored = true; _ }, Some cmd ->
+    Printf.eprintf "%s: an anchored XPath query is not supported; start it with // instead\n" cmd;
+    exit 1
+  | Ok q, _ -> (q.twig, Tl_twig.Query.name ~size ~known:(Data_tree.label_name tree) q)
+
+(* --- estimate / xpath ---------------------------------------------------------- *)
+
+(* [estimate] and [xpath] are one command under two names: both read either
+   syntax, and an anchored XPath query counts at the document root only. *)
+let estimate_cmd_named name ~doc =
   let exact =
     Arg.(value & flag & info [ "exact" ] ~doc:"Also compute the exact count by full matching.")
   in
   let run obs xml k scheme query exact =
     with_obs obs @@ fun () ->
     let tl = Treelattice.build ~k (load_tree xml) in
-    match Treelattice.estimate_string ~scheme tl query with
+    match Treelattice.estimate_text ~scheme tl query with
     | Error msg ->
       prerr_endline msg;
       exit 1
     | Ok estimate ->
       Printf.printf "estimate[%s] = %.2f\n" (Estimator.scheme_name scheme) estimate;
-      if exact then begin
-        match Treelattice.exact_string tl query with
-        | Ok truth -> Printf.printf "exact = %d\n" truth
-        | Error msg -> prerr_endline msg
-      end
+      if exact then Result.iter (Printf.printf "exact = %d\n") (Treelattice.exact_text tl query)
   in
-  Cmd.v
-    (Cmd.info "estimate" ~doc:"Estimate the selectivity of a twig query against an XML document.")
-    Term.(const run $ obs_term $ xml_arg $ k_arg $ scheme_arg $ query $ exact)
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const run $ obs_term $ xml_arg $ k_arg $ scheme_arg $ query_arg $ exact)
+
+let estimate_cmd =
+  estimate_cmd_named "estimate"
+    ~doc:"Estimate the selectivity of a twig query against an XML document."
+
+let xpath_cmd =
+  estimate_cmd_named "xpath"
+    ~doc:"Estimate the selectivity of an XPath query (child steps + predicates)."
 
 (* --- explain --------------------------------------------------------------- *)
 
 let explain_cmd =
-  let query =
-    Arg.(
-      required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc:"Twig query, e.g. 'a(b,c(d))'.")
-  in
   let dot =
     Arg.(
       value
@@ -287,95 +306,35 @@ let explain_cmd =
     with_obs obs @@ fun () ->
     let tree = load_tree xml in
     let summary = Summary.build ~k tree in
-    match
-      Tl_twig.Twig_parse.parse_twig ~intern:(fun tag -> Some (Data_tree.intern_label tree tag)) query
-    with
-    | Error msg ->
-      prerr_endline msg;
-      exit 1
-    | Ok twig ->
-      let names = Data_tree.label_name tree in
-      let trace = Tl_core.Explain.run summary scheme twig in
-      print_string (Tl_core.Explain.to_text ~names trace);
-      if exact then Printf.printf "exact = %d\n" (Tl_twig.Match_count.count tree twig);
-      Option.iter
-        (fun path ->
-          let oc = open_out path in
-          output_string oc (Tl_viz.Dot.explain ~names trace);
-          close_out oc;
-          Printf.printf "wrote %s\n" path)
-        dot
+    let twig, names = query_of_text ~unanchored_only:"explain" tree query in
+    let trace = Tl_core.Explain.run summary scheme twig in
+    print_string (Tl_core.Explain.to_text ~names trace);
+    if exact then Printf.printf "exact = %d\n" (Tl_twig.Match_count.count tree twig);
+    Option.iter
+      (fun path ->
+        let oc = open_out path in
+        output_string oc (Tl_viz.Dot.explain ~names trace);
+        close_out oc;
+        Printf.printf "wrote %s\n" path)
+      dot
   in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
          "Explain a selectivity estimate: print every sub-twig lookup, leaf-pair decomposition, \
           and vote behind it.")
-    Term.(const run $ obs_term $ xml_arg $ k_arg $ scheme_arg $ query $ dot $ exact)
-
-(* --- xpath ------------------------------------------------------------------- *)
-
-let xpath_cmd =
-  let query =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"QUERY" ~doc:"XPath query, e.g. '//open_auction[bidder][seller]'.")
-  in
-  let exact =
-    Arg.(value & flag & info [ "exact" ] ~doc:"Also compute the exact count by full matching.")
-  in
-  let run obs xml k scheme query exact =
-    with_obs obs @@ fun () ->
-    let tl = Treelattice.build ~k (load_tree xml) in
-    match Treelattice.estimate_xpath ~scheme tl query with
-    | Error msg ->
-      prerr_endline msg;
-      exit 1
-    | Ok estimate ->
-      Printf.printf "estimate[%s] = %.2f\n" (Estimator.scheme_name scheme) estimate;
-      if exact then begin
-        match Treelattice.exact_xpath tl query with
-        | Ok truth -> Printf.printf "exact = %d\n" truth
-        | Error msg -> prerr_endline msg
-      end
-  in
-  Cmd.v
-    (Cmd.info "xpath" ~doc:"Estimate the selectivity of an XPath query (child steps + predicates).")
-    Term.(const run $ obs_term $ xml_arg $ k_arg $ scheme_arg $ query $ exact)
+    Term.(const run $ obs_term $ xml_arg $ k_arg $ scheme_arg $ query_arg $ dot $ exact)
 
 (* --- match ------------------------------------------------------------------- *)
 
 let match_cmd =
-  let query =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"QUERY" ~doc:"Twig query in twig or XPath syntax.")
-  in
   let limit =
     Arg.(value & opt int 10 & info [ "limit" ] ~docv:"N" ~doc:"Maximum matches to print (default 10).")
   in
   let run obs xml query limit =
     with_obs obs @@ fun () ->
     let tree = load_tree xml in
-    let twig =
-      (* Accept both syntaxes: XPath when it starts with '/', twig otherwise;
-         fall back to the other on failure. *)
-      let from_xpath () =
-        Result.bind (Tl_twig.Xpath.parse query)
-          (Tl_twig.Xpath.to_twig ~intern:(fun tag -> Some (Data_tree.intern_label tree tag)))
-      in
-      let from_twig () =
-        Tl_twig.Twig_parse.parse_twig ~intern:(fun tag -> Some (Data_tree.intern_label tree tag)) query
-      in
-      match (if String.length query > 0 && query.[0] = '/' then from_xpath () else from_twig ()) with
-      | Ok t -> t
-      | Error _ -> (
-        match (if String.length query > 0 && query.[0] = '/' then from_twig () else from_xpath ()) with
-        | Ok t -> t
-        | Error msg ->
-          prerr_endline msg;
-          exit 1)
-    in
+    let twig, names = query_of_text tree query in
     let matches = Tl_twig.Match_enum.enumerate ~limit tree twig in
     let total = Tl_twig.Match_count.count tree twig in
     Printf.printf "%d match(es); showing up to %d\n" total limit;
@@ -384,16 +343,13 @@ let match_cmd =
       (fun i assignment ->
         Printf.printf "match %d:\n" (i + 1);
         Array.iteri
-          (fun q v ->
-            Printf.printf "  %s -> node %d\n"
-              (Data_tree.label_name tree ix.Tl_twig.Twig.node_labels.(q))
-              v)
+          (fun q v -> Printf.printf "  %s -> node %d\n" (names ix.Tl_twig.Twig.node_labels.(q)) v)
           assignment)
       matches
   in
   Cmd.v
     (Cmd.info "match" ~doc:"Enumerate actual matches of a twig query.")
-    Term.(const run $ obs_term $ xml_arg $ query $ limit)
+    Term.(const run $ obs_term $ xml_arg $ query_arg $ limit)
 
 (* --- batch ------------------------------------------------------------------- *)
 
@@ -672,8 +628,9 @@ let serve_cmd =
       exit 2
     end;
     (* Both handlers go in before [Service.start] writes a port file.
-       SIGTERM drains the service once [start] has returned it; during
-       startup nothing is serving yet, so it just exits.  SIGHUP requests
+       SIGTERM drains the service once [start] has handed it to [ready],
+       which it does before writing any port file; until then nothing is
+       serving yet, so it just exits.  SIGHUP requests
        a reload of every dataset; the flag is checked at loop iterations
        and batch boundaries (best-effort while blocked on input — the
        explicit `reload` control line is the deterministic path). *)
@@ -694,8 +651,8 @@ let serve_cmd =
       { Service.xml; datasets; k; scheme; sample_rate; drift_threshold; drift_xml; port; port_file;
         audit_out; listen; server_port_file; server_workers; server_queue; json }
     in
-    let svc = try Service.start ~pool ~load_tree config with Failure _ -> exit 1 in
-    Atomic.set service (Some svc);
+    let ready svc = Atomic.set service (Some svc) in
+    let svc = try Service.start ~pool ~ready ~load_tree config with Failure _ -> exit 1 in
     let served = ref 0 and batches = ref 0 and skipped = ref 0 in
     (* [exit] would skip [Fun.protect]'s finalizer (it terminates without
        unwinding), so the malformed-line exit happens after shutdown. *)
@@ -812,9 +769,6 @@ let prune_cmd =
 (* --- plan ------------------------------------------------------------------------ *)
 
 let plan_cmd =
-  let query =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc:"Twig query, e.g. 'a(b,c(d))'.")
-  in
   let execute =
     Arg.(value & flag & info [ "execute" ] ~doc:"Run both plans and report materialized tuples.")
   in
@@ -822,33 +776,26 @@ let plan_cmd =
     with_obs obs @@ fun () ->
     let tree = load_tree xml in
     let summary = Summary.build ~k tree in
-    match
-      Tl_twig.Twig_parse.parse_twig ~intern:(fun tag -> Some (Data_tree.intern_label tree tag)) query
-    with
-    | Error msg ->
-      prerr_endline msg;
-      exit 1
-    | Ok twig ->
-      let names = Data_tree.label_name tree in
-      let naive = Tl_join.Plan.naive twig in
-      let guided = Tl_join.Plan.greedy summary twig in
-      Printf.printf "naive : %s (estimated cost %.0f)\n"
-        (Tl_join.Plan.pp ~names naive)
-        (Tl_join.Plan.estimated_cost summary naive);
-      Printf.printf "guided: %s (estimated cost %.0f)\n"
-        (Tl_join.Plan.pp ~names guided)
-        (Tl_join.Plan.estimated_cost summary guided);
-      if execute then begin
-        let n = Tl_join.Executor.run tree naive in
-        let g = Tl_join.Executor.run tree guided in
-        Printf.printf "executed: naive %d tuples, guided %d tuples, %d results\n"
-          n.Tl_join.Executor.tuples_materialized g.Tl_join.Executor.tuples_materialized
-          g.Tl_join.Executor.result_count
-      end
+    let twig, names = query_of_text ~unanchored_only:"plan" tree query in
+    let naive = Tl_join.Plan.naive twig in
+    let guided = Tl_join.Plan.greedy summary twig in
+    Printf.printf "naive : %s (estimated cost %.0f)\n"
+      (Tl_join.Plan.pp ~names naive)
+      (Tl_join.Plan.estimated_cost summary naive);
+    Printf.printf "guided: %s (estimated cost %.0f)\n"
+      (Tl_join.Plan.pp ~names guided)
+      (Tl_join.Plan.estimated_cost summary guided);
+    if execute then begin
+      let n = Tl_join.Executor.run tree naive in
+      let g = Tl_join.Executor.run tree guided in
+      Printf.printf "executed: naive %d tuples, guided %d tuples, %d results\n"
+        n.Tl_join.Executor.tuples_materialized g.Tl_join.Executor.tuples_materialized
+        g.Tl_join.Executor.result_count
+    end
   in
   Cmd.v
     (Cmd.info "plan" ~doc:"Show naive vs estimate-guided join plans for a twig query.")
-    Term.(const run $ obs_term $ xml_arg $ k_arg $ query $ execute)
+    Term.(const run $ obs_term $ xml_arg $ k_arg $ query_arg $ execute)
 
 (* --- values ---------------------------------------------------------------------- *)
 

@@ -42,9 +42,9 @@ let () =
     ]
   in
   let estimate q =
-    match Treelattice.estimate_string tl q with Ok v -> v | Error msg -> failwith msg
+    match Treelattice.estimate_text tl q with Ok v -> v | Error msg -> failwith msg
   in
-  let exact q = match Treelattice.exact_string tl q with Ok v -> v | Error msg -> failwith msg in
+  let exact q = match Treelattice.exact_text tl q with Ok v -> v | Error msg -> failwith msg in
   List.iter
     (fun (title, candidates) ->
       Printf.printf "%s\n" title;

@@ -16,7 +16,6 @@ module TB = Tl_tree.Tree_builder
 module Treelattice = Tl_core.Treelattice
 module Sketch_build = Tl_sketch.Sketch_build
 module Sketch_estimate = Tl_sketch.Sketch_estimate
-module Twig_parse = Tl_twig.Twig_parse
 
 (* Document T in concise form:
      a
@@ -42,7 +41,7 @@ let () =
 
   let query = "a(b(c,d))" in
   let twig =
-    match Treelattice.parse_query tl query with Ok t -> t | Error m -> failwith m
+    match Treelattice.parse_text tl query with Ok q -> q.Tl_twig.Query.twig | Error m -> failwith m
   in
   let truth = Treelattice.exact tl twig in
   let lattice_estimate = Treelattice.estimate ~scheme:Tl_core.Estimator.Recursive tl twig in
@@ -59,7 +58,7 @@ let () =
 
   (* Show the lattice entries that anchor the estimate, as in Fig. 11(c). *)
   let show q =
-    let twig = Result.get_ok (Twig_parse.parse_twig ~intern:(Tl_tree.Data_tree.label_of_string tree) q) in
+    let twig = (Result.get_ok (Treelattice.parse_text tl q)).Tl_twig.Query.twig in
     Printf.printf "  sigma(%-8s) = %d\n" q (Treelattice.exact tl twig)
   in
   print_endline "lattice entries used by the decomposition:";

@@ -34,9 +34,8 @@ let () =
   List.iter
     (fun q ->
       let twig =
-        match Tl_twig.Twig_parse.parse_twig ~intern:(Tl_tree.Data_tree.label_of_string tree) q with
-        | Ok t -> t
-        | Error m -> failwith m
+        let size = Tl_tree.Data_tree.label_count tree and find = Tl_tree.Data_tree.label_of_string tree in
+        match Tl_twig.Query.parse ~size ~find q with Ok q -> q.Tl_twig.Query.twig | Error m -> failwith m
       in
       let naive = Plan.naive twig in
       let guided = Plan.greedy summary twig in

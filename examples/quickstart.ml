@@ -39,7 +39,7 @@ let () =
   Printf.printf "%-60s %12s %8s\n" "query" "estimate" "exact";
   List.iter
     (fun q ->
-      match (Treelattice.estimate_string tl q, Treelattice.exact_string tl q) with
+      match (Treelattice.estimate_text tl q, Treelattice.exact_text tl q) with
       | Ok estimate, Ok exact -> Printf.printf "%-60s %12.1f %8d\n" q estimate exact
       | Error msg, _ | _, Error msg -> Printf.printf "%-60s  error: %s\n" q msg)
     queries;
@@ -50,15 +50,15 @@ let () =
   let q = "open_auction(bidder(date,increase),itemref,seller,annotation)" in
   List.iter
     (fun scheme ->
-      match Treelattice.estimate_string ~scheme tl q with
+      match Treelattice.estimate_text ~scheme tl q with
       | Ok estimate -> Printf.printf "%-24s -> %.1f\n" (Estimator.scheme_name scheme) estimate
       | Error msg -> prerr_endline msg)
     Estimator.all_schemes;
 
   (* A sensitivity interval flags how much the admissible decompositions
      disagree — wide means locally violated independence. *)
-  (match Treelattice.parse_query tl q with
-  | Ok twig ->
+  (match Treelattice.parse_text tl q with
+  | Ok { Tl_twig.Query.twig; _ } ->
     let i = Treelattice.estimate_interval tl twig in
     Printf.printf "\nsensitivity interval for the last query: [%.1f, %.1f] around %.1f\n"
       i.Estimator.low i.Estimator.high i.Estimator.best

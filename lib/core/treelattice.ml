@@ -23,26 +23,7 @@ let estimate_interval t twig = Estimator.estimate_interval t.summary twig
 
 let exact t twig = Match_count.selectivity t.ctx twig
 
-let parse_query t query =
-  (* Unknown tags are interned fresh: they occur nowhere, so the twig has
-     true selectivity 0 and every estimator correctly reports ~0 for it. *)
-  Tl_twig.Twig_parse.parse_twig ~intern:(fun tag -> Some (Data_tree.intern_label t.tree tag)) query
-
-let estimate_string ?scheme t query = Result.map (estimate ?scheme t) (parse_query t query)
-
-let exact_string t query = Result.map (exact t) (parse_query t query)
-
 let pp_twig t twig = Twig.pp ~names:(Data_tree.label_name t.tree) twig
-
-(* --- XPath frontend ------------------------------------------------------ *)
-
-let parse_xpath t query =
-  match Tl_twig.Xpath.parse query with
-  | Error msg -> Error msg
-  | Ok xp ->
-    (match Tl_twig.Xpath.to_twig ~intern:(fun tag -> Some (Data_tree.intern_label t.tree tag)) xp with
-    | Ok twig -> Ok (xp.Tl_twig.Xpath.anchored, twig)
-    | Error msg -> Error msg)
 
 (* Anchored: only matches rooted at THE root count.  Assuming matches
    spread uniformly over root-labeled nodes (exact when the root tag occurs
@@ -54,19 +35,25 @@ let anchored_scale tree (twig : Twig.t) estimate =
     let occurrences = Array.length (Data_tree.nodes_with_label tree root_label) in
     estimate /. float_of_int (max 1 occurrences)
 
-let estimate_xpath ?scheme t query =
-  match parse_xpath t query with
-  | Error _ as e -> e |> Result.map (fun _ -> 0.0)
-  | Ok (anchored, twig) ->
-    let estimate = estimate ?scheme t twig in
-    Ok (if anchored then anchored_scale t.tree twig estimate else estimate)
+(* --- query text ---------------------------------------------------------- *)
 
-let exact_xpath t query =
-  match parse_xpath t query with
-  | Error msg -> Error msg
-  | Ok (anchored, twig) ->
-    if anchored then Ok (Match_count.selectivity_rooted t.ctx twig (Data_tree.root t.tree))
-    else Ok (exact t twig)
+let parse_text t text =
+  let size = Data_tree.label_count t.tree in
+  Tl_twig.Query.parse ~size ~find:(Data_tree.label_of_string t.tree) text
+
+let estimate_text ?scheme t text =
+  Result.map
+    (fun { Tl_twig.Query.twig; anchored; _ } ->
+      let estimate = estimate ?scheme t twig in
+      if anchored then anchored_scale t.tree twig estimate else estimate)
+    (parse_text t text)
+
+let exact_text t text =
+  Result.map
+    (fun { Tl_twig.Query.twig; anchored; _ } ->
+      if anchored then Match_count.selectivity_rooted t.ctx twig (Data_tree.root t.tree)
+      else exact t twig)
+    (parse_text t text)
 
 let prune ?scheme t ~delta = { t with summary = Derivable.prune ?scheme t.summary ~delta }
 

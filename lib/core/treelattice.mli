@@ -2,14 +2,15 @@
 
     A [Treelattice.t] ties together a data tree, its lattice summary, and
     an exact-counting context, and answers selectivity queries written
-    either as {!Tl_twig.Twig.t} values or in the textual twig syntax
-    ([laptop(brand,price)]).
+    either as {!Tl_twig.Twig.t} values or as text in the twig syntax
+    ([laptop(brand,price)]) or the XPath syntax ([//laptop[brand][price]])
+    that {!Tl_twig.Query} reads.
 
     Typical use:
     {[
       let tree = Tl_tree.Tree_load.of_file "auction.xml" in
       let tl = Treelattice.build ~k:4 tree in
-      match Treelattice.estimate_string tl "laptop(brand,price)" with
+      match Treelattice.estimate_text tl "laptop(brand,price)" with
       | Ok estimate -> Printf.printf "~%.1f matches\n" estimate
       | Error msg -> prerr_endline msg
     ]} *)
@@ -43,23 +44,8 @@ val estimate_interval : t -> Tl_twig.Twig.t -> Estimator.interval
 val exact : t -> Tl_twig.Twig.t -> int
 (** Exact selectivity, by full twig matching over the document. *)
 
-val parse_query : t -> string -> (Tl_twig.Twig.t, string) result
-(** Parse the textual syntax against the document's tags.  A syntactically
-    valid query naming a tag absent from the document is {e not} an error:
-    it parses to a twig that trivially has selectivity 0, mirroring how an
-    estimator must handle negative workloads.  [Error] is reserved for
-    syntax errors. *)
-
-val estimate_string : ?scheme:Estimator.scheme -> t -> string -> (float, string) result
-
-val exact_string : t -> string -> (int, string) result
-
 val pp_twig : t -> Tl_twig.Twig.t -> string
 (** Render a twig with the document's tag names. *)
-
-val estimate_xpath : ?scheme:Estimator.scheme -> t -> string -> (float, string) result
-(** Estimate an XPath query; an anchored one is scaled by
-    {!anchored_scale}. *)
 
 val anchored_scale : Tl_tree.Data_tree.t -> Tl_twig.Twig.t -> float -> float
 (** [anchored_scale tree twig estimate] turns the estimate of [twig]
@@ -68,9 +54,23 @@ val anchored_scale : Tl_tree.Data_tree.t -> Tl_twig.Twig.t -> float -> float
     otherwise [estimate] divided by the number of nodes carrying that tag
     (exact whenever the root tag occurs once, the normal case). *)
 
-val exact_xpath : t -> string -> (int, string) result
-(** Exact count of an XPath query; anchoring is honoured exactly (matches
-    rooted at the document root only). *)
+(** {2 Query text} *)
+
+val parse_text : t -> string -> (Tl_twig.Query.t, string) result
+(** Parse twig or XPath text against the document's tags
+    ({!Tl_twig.Query.parse}).  A syntactically valid query naming a tag
+    absent from the document is {e not} an error: the tag gets an overflow
+    id, so the twig trivially has selectivity 0, mirroring how an
+    estimator must handle negative workloads; the document is not written
+    to.  [Error] is reserved for syntax errors. *)
+
+val estimate_text : ?scheme:Estimator.scheme -> t -> string -> (float, string) result
+(** {!estimate} of the parsed twig; an anchored XPath query is scaled by
+    {!anchored_scale}. *)
+
+val exact_text : t -> string -> (int, string) result
+(** {!exact} of the parsed twig; an anchored XPath query counts exactly
+    the matches rooted at the document root. *)
 
 val prune : ?scheme:Estimator.scheme -> t -> delta:float -> t
 (** Replace the summary with its δ-pruned version (see {!Derivable});

@@ -277,12 +277,12 @@ let swap t name summary =
 
 (* --- file loading -------------------------------------------------------- *)
 
-let load t name path =
+let load ?pool t name path =
   if Filename.check_suffix path ".xml" then
     match Tl_tree.Tree_load.of_file path with
     | exception Sys_error msg -> fail t msg
     | exception e -> fail t (Printf.sprintf "%s: %s" path (Printexc.to_string e))
-    | tree -> install_document t ~name ~source:path tree
+    | tree -> install_document ?pool t ~name ~source:path tree
   else
     match find t name with
     | Some { b_labels = Doc tree; _ } ->
@@ -314,14 +314,14 @@ let source t name =
   Mutex.unlock t.mutex;
   s
 
-let reload t name =
+let reload ?pool t name =
   match source t name with
   | None -> fail t (Printf.sprintf "dataset %S has no recorded source to reload from" name)
-  | Some path -> load t name path
+  | Some path -> load ?pool t name path
 
-let reload_all t =
+let reload_all ?pool t =
   List.filter_map
-    (fun name -> Option.map (fun _ -> (name, reload t name)) (source t name))
+    (fun name -> Option.map (fun _ -> (name, reload ?pool t name)) (source t name))
     (dataset_names t)
 
 (* --- bundle accessors ---------------------------------------------------- *)
@@ -347,11 +347,8 @@ let label_names b =
 
 (* --- query parsing ------------------------------------------------------- *)
 
-let find_label b =
-  match b.b_labels with Doc tree -> Data_tree.label_of_string tree | Names i -> Interner.find i
-
 (* Anchored-XPath scaling: a document-backed bundle scales exactly as
-   [Treelattice.estimate_xpath].  A summary-only bundle has no document
+   [Treelattice.estimate_text].  A summary-only bundle has no document
    shape, so it scales by the root tag's own level-1 occurrence count and
    cannot check which tag the root is. *)
 let anchored_scale b (twig : Twig.t) estimate =
@@ -371,39 +368,16 @@ let absent_twig = Twig.leaf absent_label
 (* Tags resolve by lookup only, so parsing never writes to the label space
    that concurrent connections share. *)
 let parse_uncached b line =
-  let find = find_label b in
-  let absent = ref false in
-  let intern tag =
-    match find tag with
-    | Some _ as l -> l
-    | None ->
-      absent := true;
-      Some absent_label
+  let size, find =
+    match b.b_labels with
+    | Doc tree -> (Data_tree.label_count tree, Data_tree.label_of_string tree)
+    | Names i -> (Interner.size i, Interner.find i)
   in
-  let resolved twig transform = if !absent then (absent_twig, Fun.id) else (twig, transform) in
-  let from_twig () =
-    absent := false;
-    Result.map (fun twig -> resolved twig Fun.id) (Tl_twig.Twig_parse.parse_twig ~intern line)
-  in
-  let from_xpath () =
-    absent := false;
-    match Tl_twig.Xpath.parse line with
-    | Error _ as e -> e
-    | Ok xp ->
-      Result.map
-        (fun twig ->
-          resolved twig (if xp.Tl_twig.Xpath.anchored then anchored_scale b twig else Fun.id))
-        (Tl_twig.Xpath.to_twig ~intern xp)
-  in
-  let first, second =
-    if String.length line > 0 && line.[0] = '/' then (from_xpath, from_twig)
-    else (from_twig, from_xpath)
-  in
-  (* When both syntaxes reject the line, diagnose with the parser the line
-     looks like it was written for. *)
-  match first () with
-  | Ok parsed -> Ok parsed
-  | Error msg -> ( match second () with Ok parsed -> Ok parsed | Error _ -> Error msg)
+  Result.map
+    (fun { Tl_twig.Query.twig; anchored; unknown } ->
+      if unknown <> [] then (absent_twig, Fun.id)
+      else (twig, if anchored then anchored_scale b twig else Fun.id))
+    (Tl_twig.Query.parse ~size ~find line)
 
 (* Longest line the parse cache keeps.  Query lines are short; a longer
    one (padding, say) is parsed uncached, so the cache holds at most

@@ -87,10 +87,10 @@ val swap : t -> string -> Tl_lattice.Summary.t -> (bundle, string) result
     the old bundle keeps serving and the reload-failure alarm latches.
     Returns the bundle now current for [name]. *)
 
-val load : t -> string -> string -> (bundle, string) result
+val load : ?pool:Tl_util.Pool.t -> t -> string -> string -> (bundle, string) result
 (** [load t name path] routes [path] into dataset [name]: a [*.xml] path
     is streamed into a tree ({!Tl_tree.Tree_load}) and mined
-    ({!install_document}); anything else is read as a
+    ({!install_document}, across [pool]); anything else is read as a
     serialized summary ({!Tl_lattice.Summary_io}).  A summary routed to a
     document-backed dataset is re-keyed into the document's interner by
     tag {e name} and rejected if it names a tag the document lacks; a
@@ -98,10 +98,10 @@ val load : t -> string -> string -> (bundle, string) result
     table.  All failures (I/O, parse, validation) degrade gracefully:
     [Error] with the old bundle — if any — still serving. *)
 
-val reload : t -> string -> (bundle, string) result
+val reload : ?pool:Tl_util.Pool.t -> t -> string -> (bundle, string) result
 (** Re-run {!load} from the dataset's recorded source path. *)
 
-val reload_all : t -> (string * (bundle, string) result) list
+val reload_all : ?pool:Tl_util.Pool.t -> t -> (string * (bundle, string) result) list
 (** {!reload} every dataset that has a recorded source, in installation
     order (datasets installed programmatically are skipped). *)
 
@@ -161,14 +161,13 @@ val label_names : bundle -> string array
 
 val parse_query : bundle -> string -> (Tl_twig.Twig.t * (float -> float), string) result
 (** One query line in twig or XPath syntax, parsed against the bundle's
-    label space; syntax errors are diagnosed with the parser the line
-    looks written for.  Tags resolve by lookup only: a line naming a tag
+    label space by {!Tl_twig.Query.parse}, which also diagnoses syntax
+    errors.  Nothing is written to the label space: a line naming a tag
     the dataset lacks parses to one shared twig whose estimate is exactly
-    0, and nothing is interned.  The returned transform applies
-    anchored-XPath scaling: against a document it mirrors
-    {!Tl_core.Treelattice.estimate_xpath} exactly; a summary-only bundle
-    scales by the root tag's own level-1 occurrence count instead (the
-    document shape is unavailable).
+    0.  The returned transform applies anchored-XPath scaling: against a
+    document it mirrors {!Tl_core.Treelattice.estimate_text} exactly; a
+    summary-only bundle scales by the root tag's own level-1 occurrence
+    count instead (the document shape is unavailable).
 
     Valid lines of up to 512 bytes are cached per bundle, keyed by their
     exact text, in a mutex-guarded LRU as large as the bundle's plan

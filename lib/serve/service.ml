@@ -1,6 +1,7 @@
 (* The serve composition.  Startup order is the readiness contract: every
-   dataset is installed before the endpoint answers, and a port file
-   appears only once both listeners are up. *)
+   dataset is installed before the endpoint answers, the caller holds the
+   service before anything announces it, and a port file appears only
+   once both listeners are up. *)
 
 module Exporter = Tl_obs.Exporter
 
@@ -24,6 +25,7 @@ type config = {
 
 type t = {
   config : config;
+  pool : Tl_util.Pool.t option;
   registry : Registry.t;
   exporter : Exporter.t;
   mutable server : Server.t option;
@@ -103,7 +105,7 @@ let publish file port announce =
   Option.iter write file;
   Printf.eprintf announce port
 
-let start ?pool ~load_tree config =
+let start ?pool ?(ready = ignore) ~load_tree config =
   let registry =
     Registry.create
       ~config:
@@ -127,10 +129,10 @@ let start ?pool ~load_tree config =
           Registry.install_document ?pool registry ~name:"default" ~source:path (load_tree path)))
     config.xml;
   List.iter
-    (fun (name, path) -> install name (fun () -> Registry.load registry name path))
+    (fun (name, path) -> install name (fun () -> Registry.load ?pool registry name path))
     config.datasets;
   let exporter = Exporter.start ~port:config.port ~routes:(routes_of registry) () in
-  let t = { config; registry; exporter; server = None; stopped = Atomic.make false } in
+  let t = { config; pool; registry; exporter; server = None; stopped = Atomic.make false } in
   let server_config port =
     {
       Server.default_config with
@@ -142,6 +144,7 @@ let start ?pool ~load_tree config =
   in
   (try
      t.server <- Option.map (fun p -> Server.start ~config:(server_config p) ?pool registry) config.listen;
+     ready t;
      publish config.port_file (Exporter.port exporter)
        "serve: listening on http://127.0.0.1:%d (/metrics /audit /healthz /datasets)\n%!";
      Option.iter
@@ -157,11 +160,11 @@ let start ?pool ~load_tree config =
 let handle_control t line =
   match List.filter (fun s -> s <> "") (String.split_on_char ' ' line) with
   | [ "reload" ] -> (
-    match Registry.reload_all t.registry with
+    match Registry.reload_all ?pool:t.pool t.registry with
     | [] -> Printf.eprintf "serve: reload: no dataset has a recorded source\n%!"
     | results -> List.iter (fun (name, r) -> report_epoch name r) results)
-  | [ "reload"; name ] -> report_epoch name (Registry.reload t.registry name)
-  | [ "reload"; name; path ] -> report_epoch name (Registry.load t.registry name path)
+  | [ "reload"; name ] -> report_epoch name (Registry.reload ?pool:t.pool t.registry name)
+  | [ "reload"; name; path ] -> report_epoch name (Registry.load ?pool:t.pool t.registry name path)
   | _ -> Printf.eprintf "serve: bad control line %S (reload [NAME [PATH]])\n%!" line
 
 let report t ~queries ~batches =

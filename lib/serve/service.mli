@@ -25,11 +25,20 @@ type config = {
 
 type t
 
-val start : ?pool:Tl_util.Pool.t -> load_tree:(string -> Tl_tree.Data_tree.t) -> config -> t
+val start :
+  ?pool:Tl_util.Pool.t ->
+  ?ready:(t -> unit) ->
+  load_tree:(string -> Tl_tree.Data_tree.t) ->
+  config ->
+  t
 (** Install [xml] as ["default"], then [datasets]; then start the
-    endpoint, then the TCP front-end, then write the port files.
-    [load_tree] reads [xml] and [drift_xml].  A failed install is
-    reported and raises [Failure] before anything has started. *)
+    endpoint, then the TCP front-end, then hand the service to [ready],
+    then write the port files.  [pool] mines every [.xml] dataset, at
+    startup and on reload.  [load_tree] reads [xml] and [drift_xml].  A
+    failed install is reported and raises [Failure] before anything has
+    started.  A caller that must {!stop} on a signal stores the service
+    in [ready], so no port file names a service it cannot drain; should
+    [ready] raise, [start] stops the service and re-raises. *)
 
 val registry : t -> Registry.t
 

@@ -26,7 +26,9 @@ let exact t query = Value_match.selectivity t.vtree query
 
 let parse t query =
   let tree = Value_tree.tree t.vtree in
-  Value_query.parse ~intern:(fun tag -> Some (Data_tree.intern_label tree tag)) query
+  let size = Data_tree.label_count tree in
+  let resolve = Tl_twig.Query.resolver ~size ~find:(Data_tree.label_of_string tree) in
+  Value_query.parse ~intern:(fun tag -> Some (resolve tag)) query
 
 let estimate_string ?scheme t query = Result.map (estimate ?scheme t) (parse t query)
 

@@ -35,6 +35,7 @@ val exact : t -> Value_query.t -> int
 
 val estimate_string : ?scheme:Tl_core.Estimator.scheme -> t -> string -> (float, string) result
 (** Parse the value-twig syntax against the document's tags and estimate.
-    Unknown tags yield [Ok 0.] *)
+    Tags resolve as in {!Tl_twig.Query}: an unknown tag gets an overflow id
+    without being written to the document, and yields [Ok 0.] *)
 
 val exact_string : t -> string -> (int, string) result

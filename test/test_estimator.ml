@@ -634,22 +634,25 @@ let test_frontend_basics () =
   let tl = Treelattice.build ~k:3 tree in
   Alcotest.(check int) "k" 3 (Treelattice.k tl);
   Alcotest.(check bool) "tree identity" true (Treelattice.tree tl == tree);
-  (match Treelattice.estimate_string tl "laptop(brand,price)" with
+  (match Treelattice.estimate_text tl "laptop(brand,price)" with
   | Ok v -> close "estimate" 2.0 v
   | Error m -> Alcotest.failf "unexpected error %s" m);
-  (match Treelattice.exact_string tl "laptop(brand,price)" with
+  (match Treelattice.exact_text tl "laptop(brand,price)" with
   | Ok v -> Alcotest.(check int) "exact" 2 v
   | Error m -> Alcotest.failf "unexpected error %s" m);
-  match Treelattice.estimate_string tl "laptop((" with
+  match Treelattice.estimate_text tl "laptop((" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "syntax error expected"
 
 let test_frontend_unknown_tag_is_zero () =
   let tree = Helpers.tree_of Helpers.shop_spec in
   let tl = Treelattice.build ~k:3 tree in
-  match Treelattice.estimate_string tl "laptop(unheard_of)" with
+  let labels = Tl_tree.Data_tree.label_count tree in
+  (match Treelattice.estimate_text tl "laptop(unheard_of)" with
   | Ok v -> close "unknown tag estimates 0" 0.0 v
-  | Error m -> Alcotest.failf "unknown tags should not error: %s" m
+  | Error m -> Alcotest.failf "unknown tags should not error: %s" m);
+  Alcotest.(check int) "the document's labels are untouched" labels
+    (Tl_tree.Data_tree.label_count tree)
 
 let test_frontend_pp () =
   let tree = Helpers.tree_of Helpers.shop_spec in
@@ -664,7 +667,7 @@ let test_frontend_prune () =
   Alcotest.(check bool) "summary shrank" true
     (Summary.entries (Treelattice.summary pruned) < Summary.entries (Treelattice.summary tl));
   let q = "x(y(w,w),z)" in
-  match (Treelattice.estimate_string tl q, Treelattice.estimate_string pruned q) with
+  match (Treelattice.estimate_text tl q, Treelattice.estimate_text pruned q) with
   | Ok a, Ok b -> close "lossless" a b
   | _ -> Alcotest.fail "estimates failed"
 
@@ -678,13 +681,13 @@ let test_frontend_add_document () =
          [ TB.node "laptops" [ TB.node "laptop" [ TB.leaf "brand"; TB.leaf "warranty" ] ] ])
   in
   let merged = Treelattice.add_document tl other in
-  (match Treelattice.exact_string merged "laptop" with
+  (match Treelattice.exact_text merged "laptop" with
   | Ok v -> Alcotest.(check int) "exact still against original tree" 2 v
   | Error m -> Alcotest.failf "unexpected %s" m);
-  (match Treelattice.estimate_string merged "laptop" with
+  (match Treelattice.estimate_text merged "laptop" with
   | Ok v -> close "merged count" 3.0 v
   | Error m -> Alcotest.failf "unexpected %s" m);
-  match Treelattice.estimate_string merged "laptop(warranty)" with
+  match Treelattice.estimate_text merged "laptop(warranty)" with
   | Ok v -> close "new tag counted" 1.0 v
   | Error m -> Alcotest.failf "unexpected %s" m
 

@@ -298,9 +298,137 @@ let test_document_parse_query_matches_front_end () =
       | Error msg -> Alcotest.failf "parse %S: %s" line msg
       | Ok (twig, tf) ->
         let served = tf (Registry.batch b [| twig |]).(0) in
-        let direct = Result.get_ok (Treelattice.estimate_xpath tl line) in
+        let direct = Result.get_ok (Treelattice.estimate_text tl line) in
         check_bits (Printf.sprintf "xpath %s" line) direct served)
     [ "/a/b"; "/a/b[c]"; "//b[c][d]"; "/b" ]
+
+(* --- mining on load ------------------------------------------------------------ *)
+
+(* An .xml dataset is mined across the pool it is loaded with: the pooled
+   and the sequential load store the same summary bytes, and a shut-down
+   pool, which refuses every parallel map, fails the load. *)
+let test_pooled_xml_load () =
+  let path = Filename.temp_file "tl_registry" ".xml" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Tl_xml.Xml_writer.to_file path
+    { Tl_xml.Xml_dom.decl = None; root = Tl_datasets.Dataset.xmark.document ~target:100_000 ~seed:5 };
+  let saved ?pool () =
+    let b = Result.get_ok (Registry.load ?pool (Registry.create ()) "d" path) in
+    Summary_io.save ~names:(Registry.label_names b) (Registry.summary b)
+  in
+  let sequential = saved () in
+  Alcotest.(check string) "pooled = sequential summary bytes" sequential
+    (Tl_util.Pool.with_pool ~domains:3 (fun pool -> saved ~pool ()));
+  let stopped = Tl_util.Pool.create ~domains:2 () in
+  Tl_util.Pool.shutdown stopped;
+  Alcotest.(check bool) "the load mines across its pool" true
+    (Result.is_error (Registry.load ~pool:stopped (Registry.create ()) "d" path))
+
+(* --- one query parser for every front end ------------------------------------ *)
+
+(* A generated twig's label [l] names [Helpers.alphabet.(l)], or a tag no
+   generated document has once [l] runs past the alphabet. *)
+let front_end_name l =
+  if l < Array.length Helpers.alphabet then Helpers.alphabet.(l) else Printf.sprintf "ghost%d" l
+
+let three_syntaxes twig =
+  let ast = Tl_twig.Twig_parse.of_twig ~names:front_end_name twig in
+  [
+    (Tl_twig.Twig_parse.to_string ast, false);
+    (Tl_twig.Xpath.to_string (Tl_twig.Xpath.of_twig_ast ~anchored:false ast), false);
+    (Tl_twig.Xpath.to_string (Tl_twig.Xpath.of_twig_ast ~anchored:true ast), true);
+  ]
+
+(* The twig that interning the generated twig's tags into a copy of the
+   document's label table would give: each unknown tag takes the next id
+   from the table's size, in preorder of first appearance. *)
+let interned_twig tree twig =
+  let fresh = Hashtbl.create 4 in
+  let id l =
+    let tag = front_end_name l in
+    match Data_tree.label_of_string tree tag with
+    | Some known -> known
+    | None -> (
+      match Hashtbl.find_opt fresh tag with
+      | Some id -> id
+      | None ->
+        let id = Data_tree.label_count tree + Hashtbl.length fresh in
+        Hashtbl.replace fresh tag id;
+        id)
+  in
+  List.iter (fun l -> ignore (id l)) (Twig.labels twig);
+  Twig.canonicalize (Twig.map_labels id twig)
+
+let prop_front_ends_agree =
+  Helpers.qcheck_case ~name:"twig, xpath and anchored text agree across front ends" ~count:60
+    QCheck2.Gen.(
+      pair (Helpers.tree_gen ~max_nodes:25)
+        (list_size (int_range 1 6)
+           (Helpers.twig_gen ~nlabels:(Array.length Helpers.alphabet + 2) ~max_nodes:5 ())))
+    (fun (tree, twigs) ->
+      let b = Result.get_ok (Registry.install_document (Registry.create ()) ~name:"d" tree) in
+      let summary = Registry.summary b in
+      let tl = Treelattice.of_summary tree summary in
+      let labels = Data_tree.label_count tree in
+      List.for_all
+        (fun twig ->
+          let expected_twig = interned_twig tree twig in
+          let direct = Estimator.estimate summary Treelattice.default_scheme expected_twig in
+          List.for_all
+            (fun (line, anchored) ->
+              let expected =
+                if anchored then Treelattice.anchored_scale tree expected_twig direct else direct
+              in
+              let parsed = Result.get_ok (Treelattice.parse_text tl line) in
+              let served =
+                let twig, tf = Result.get_ok (Registry.parse_query b line) in
+                tf (Registry.batch b [| twig |]).(0)
+              in
+              Twig.equal parsed.Tl_twig.Query.twig expected_twig
+              && parsed.Tl_twig.Query.anchored = anchored
+              && same_float expected (Result.get_ok (Treelattice.estimate_text tl line))
+              && same_float expected served)
+            (three_syntaxes twig)
+          && Data_tree.label_count tree = labels)
+        twigs)
+
+let test_parsing_writes_no_label () =
+  let vtree =
+    Tl_values.Value_tree.of_xml
+      (Tl_xml.Xml_dom.parse_string "<a><b><c>1</c><d>x</d></b><b><c>2</c></b></a>")
+  in
+  let tree = Tl_values.Value_tree.tree vtree in
+  let labels = Data_tree.label_count tree and names = Data_tree.label_names tree in
+  let tl = Treelattice.build ~k:3 tree in
+  let est = Tl_values.Value_estimator.create ~k:3 vtree in
+  let b = Result.get_ok (Registry.install_document (Registry.create ()) ~name:"d" tree) in
+  let twigs =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 29 |]) ~n:120
+      (Helpers.twig_gen ~nlabels:(Array.length Helpers.alphabet + 2) ~max_nodes:4 ())
+  in
+  let lines = List.concat_map (fun twig -> List.map fst (three_syntaxes twig)) twigs in
+  let parses = ref 0 in
+  List.iter
+    (fun line ->
+      ignore (Treelattice.parse_text tl line);
+      ignore (Treelattice.estimate_text tl line);
+      ignore (Treelattice.exact_text tl line);
+      ignore (Registry.parse_query b line);
+      parses := !parses + 4)
+    lines;
+  List.iter
+    (fun twig ->
+      let text = Tl_twig.Twig_parse.to_string (Tl_twig.Twig_parse.of_twig ~names:front_end_name twig) in
+      ignore (Tl_values.Value_estimator.estimate_string est text);
+      ignore (Tl_values.Value_estimator.exact_string est text);
+      parses := !parses + 2)
+    twigs;
+  Alcotest.(check bool) (Printf.sprintf "%d parses" !parses) true (!parses >= 1000);
+  Alcotest.(check bool) "some lines name tags the document lacks" true
+    (List.exists (fun line -> Tl_util.Prelude.string_contains ~needle:"ghost" line) lines);
+  Alcotest.(check int) "label_count unchanged" labels (Data_tree.label_count tree);
+  Alcotest.(check (array string)) "label names unchanged" names (Data_tree.label_names tree);
+  Alcotest.(check (array string)) "registry label space unchanged" names (Registry.label_names b)
 
 (* --- the parse cache -------------------------------------------------------- *)
 
@@ -693,6 +821,7 @@ let () =
             test_swap_frees_plans_and_audit;
           Alcotest.test_case "serving counters exported at zero" `Quick
             test_counters_materialized_at_zero;
+          Alcotest.test_case "pooled and sequential .xml loads agree" `Quick test_pooled_xml_load;
         ] );
       ( "degradation",
         [
@@ -708,6 +837,11 @@ let () =
           Alcotest.test_case "install, parse, batch, unknown tags" `Quick test_summary_only_dataset;
           Alcotest.test_case "document xpath = front-end" `Quick
             test_document_parse_query_matches_front_end;
+        ] );
+      ( "front_ends",
+        [
+          prop_front_ends_agree;
+          Alcotest.test_case "parsing writes no label" `Quick test_parsing_writes_no_label;
         ] );
       ( "parse_cache",
         [

@@ -323,6 +323,49 @@ let test_stop_drains_and_writes_audit () =
   Unix.close answered;
   Unix.close pending
 
+(* The caller holds the service before any port file names it, so a
+   SIGTERM handler that stops it there drains the TCP front-end and writes
+   the audit log.  [ready] raises afterwards, as the handler's exit would
+   end the process, and [start] stops the service again (a no-op). *)
+let test_ready_before_port_files () =
+  with_xml @@ fun xml ->
+  let audit_out = temp_file ".jsonl" and port_file = temp_file ".port" in
+  let server_port_file = temp_file ".port" in
+  Fun.protect ~finally:(fun () ->
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ audit_out; port_file; server_port_file ])
+  @@ fun () ->
+  Sys.remove audit_out;
+  let port_files = ref "unset" and stop_err = ref "" in
+  let ready svc =
+    port_files := read_file port_file ^ read_file server_port_file;
+    stop_err := snd (capture_stderr (fun () -> Service.stop svc));
+    raise Exit
+  in
+  let (), start_err =
+    capture_stderr (fun () ->
+        match
+          Service.start ~ready ~load_tree
+            (config ~audit_out ~port_file ~listen:0 ~server_port_file [ ("main", xml) ])
+        with
+        | _ -> Alcotest.fail "start returned although ready raised"
+        | exception Exit -> ())
+  in
+  Alcotest.(check string) "port files empty when the service reaches the caller" "" !port_files;
+  Alcotest.(check bool)
+    (Printf.sprintf "stop drained the TCP front-end (%S)" !stop_err)
+    true
+    (contains
+       ~needle:"serve: tcp front-end drained (0 connection(s), 0 query(ies), 0 batch(es), 0 shed)\n"
+       !stop_err);
+  Alcotest.(check bool) "stop wrote the audit log" true (Sys.file_exists audit_out);
+  Alcotest.(check bool)
+    (Printf.sprintf "nothing announced (%S)" start_err)
+    false
+    (contains ~needle:"listening on" start_err);
+  Alcotest.(check string) "port files still empty" "" (read_file port_file ^ read_file server_port_file)
+
 let () =
   Alcotest.run "service"
     [
@@ -342,5 +385,7 @@ let () =
         [
           Alcotest.test_case "stop drains, writes the audit log, is idempotent" `Quick
             test_stop_drains_and_writes_audit;
+          Alcotest.test_case "the caller holds the service before any port file" `Quick
+            test_ready_before_port_files;
         ] );
     ]

@@ -71,40 +71,70 @@ let test_to_twig () =
   | Error m -> Alcotest.(check bool) "unknown tag reported" true (String.length m > 0)
   | Ok _ -> Alcotest.fail "expected unknown-tag error"
 
+(* --- the one query parser ------------------------------------------------------ *)
+
+let test_query_parse () =
+  let find = function "a" -> Some 0 | "b" -> Some 1 | _ -> None in
+  let parse = Tl_twig.Query.parse ~size:2 ~find in
+  let ok s = match parse s with Ok q -> q | Error m -> Alcotest.failf "parse %S: %s" s m in
+  let encoding s = Twig.encode (ok s).Tl_twig.Query.twig in
+  Alcotest.(check string) "twig text" "0(1)" (encoding "a(b)");
+  Alcotest.(check string) "xpath text without a leading /" "0(1)" (encoding "a[b]");
+  Alcotest.(check bool) "/ anchors" true (ok "/a/b").anchored;
+  Alcotest.(check bool) "// does not" false (ok "//a/b").anchored;
+  Alcotest.(check bool) "twig text does not" false (ok "a(b)").anchored;
+  (* Unknown tags take ids from [size] up in order of first appearance, and
+     sort after every known id. *)
+  let q = ok "zz(b,yy,zz)" in
+  Alcotest.(check (list string)) "unknown tags in order" [ "zz"; "yy" ] q.unknown;
+  Alcotest.(check string) "overflow ids" "2(1,2,3)" (Twig.encode q.twig);
+  let name = Tl_twig.Query.name ~size:2 ~known:(fun l -> [| "a"; "b" |].(l)) q in
+  Alcotest.(check (list string)) "names" [ "b"; "zz"; "yy" ] (List.map name [ 1; 2; 3 ]);
+  Alcotest.(check (list string)) "no unknown tags" [] (ok "a[b]").unknown;
+  (* Text malformed in both syntaxes gets the diagnosis of the one it
+     starts like. *)
+  Alcotest.(check (result reject string)) "twig diagnosis"
+    (Error "syntax error at offset 3: expected ')'") (Result.map ignore (parse "a(b"));
+  Alcotest.(check (result reject string)) "xpath diagnosis"
+    (Error "XPath error at offset 3: expected a tag name, found end of input")
+    (Result.map ignore (parse "/a["));
+  let resolve = Tl_twig.Query.resolver ~size:2 ~find in
+  Alcotest.(check (list int)) "resolver" [ 2; 0; 3; 2 ] (List.map resolve [ "yy"; "a"; "xx"; "yy" ])
+
 (* --- integration with the front-end ---------------------------------------- *)
 
 let shop_tl () = Treelattice.build ~k:3 (Helpers.tree_of Helpers.shop_spec)
 
 let test_estimate_xpath_unanchored () =
   let tl = shop_tl () in
-  match Treelattice.estimate_xpath tl "//laptop[brand][price]" with
+  match Treelattice.estimate_text tl "//laptop[brand][price]" with
   | Ok v -> Alcotest.(check (float 1e-6)) "fig1 selectivity" 2.0 v
   | Error m -> Alcotest.failf "unexpected %s" m
 
 let test_estimate_xpath_anchored () =
   let tl = shop_tl () in
-  (match Treelattice.estimate_xpath tl "/computer/laptops" with
+  (match Treelattice.estimate_text tl "/computer/laptops" with
   | Ok v -> Alcotest.(check (float 1e-6)) "anchored at root tag" 1.0 v
   | Error m -> Alcotest.failf "unexpected %s" m);
-  match Treelattice.estimate_xpath tl "/laptops/laptop" with
+  match Treelattice.estimate_text tl "/laptops/laptop" with
   | Ok v -> Alcotest.(check (float 1e-6)) "anchored off-root is 0" 0.0 v
   | Error m -> Alcotest.failf "unexpected %s" m
 
 let test_exact_xpath () =
   let tl = shop_tl () in
-  (match Treelattice.exact_xpath tl "//laptop[brand][price]" with
+  (match Treelattice.exact_text tl "//laptop[brand][price]" with
   | Ok v -> Alcotest.(check int) "exact unanchored" 2 v
   | Error m -> Alcotest.failf "unexpected %s" m);
-  (match Treelattice.exact_xpath tl "/computer/laptops/laptop" with
+  (match Treelattice.exact_text tl "/computer/laptops/laptop" with
   | Ok v -> Alcotest.(check int) "exact anchored" 2 v
   | Error m -> Alcotest.failf "unexpected %s" m);
-  match Treelattice.exact_xpath tl "/laptop" with
+  match Treelattice.exact_text tl "/laptop" with
   | Ok v -> Alcotest.(check int) "anchored non-root tag" 0 v
   | Error m -> Alcotest.failf "unexpected %s" m
 
 let test_xpath_errors_surface () =
   let tl = shop_tl () in
-  match Treelattice.estimate_xpath tl "laptop//brand" with
+  match Treelattice.estimate_text tl "laptop//brand" with
   | Error m -> Alcotest.(check bool) "error surfaced" true (String.length m > 0)
   | Ok _ -> Alcotest.fail "expected an error"
 
@@ -125,7 +155,7 @@ let prop_xpath_equals_twig_syntax =
           let ast = Twig_parse.of_twig ~names:(Tl_tree.Data_tree.label_name tree) twig in
           let query = Xpath.to_string (Xpath.of_twig_ast ~anchored:false ast) in
           let direct = Treelattice.estimate tl twig in
-          (match Treelattice.estimate_xpath tl query with
+          (match Treelattice.estimate_text tl query with
           | Ok via_xpath ->
             if Float.abs (direct -. via_xpath) > 1e-9 *. Float.max 1.0 direct then ok := false
           | Error _ -> ok := false)
@@ -142,6 +172,7 @@ let () =
           Alcotest.test_case "rejections" `Quick test_rejections;
           Alcotest.test_case "to_string roundtrip" `Quick test_to_string_roundtrip;
           Alcotest.test_case "to_twig" `Quick test_to_twig;
+          Alcotest.test_case "one query parser" `Quick test_query_parse;
         ] );
       ( "frontend",
         [
