@@ -245,10 +245,10 @@ let query_arg =
     required & pos 0 (some string) None
     & info [] ~docv:"QUERY" ~doc:"Twig or XPath query, e.g. 'a(b,c(d))' or '//a[b][c/d]'.")
 
-(* The query read against [tree]'s tags by Tl_twig.Query, and names for its
-   labels, unknown tags included.  A malformed query exits 1, as does an
-   anchored one when [unanchored_only] names a subcommand that cannot
-   honour the anchoring. *)
+(* The query read against [tree]'s tags by Tl_twig.Query, names for its
+   labels, unknown tags included, and whether it is anchored.  A malformed
+   query exits 1, as does an anchored one when [unanchored_only] names a
+   subcommand that cannot honour the anchoring. *)
 let query_of_text ?unanchored_only tree text =
   let size = Data_tree.label_count tree in
   match (Tl_twig.Query.parse ~size ~find:(Data_tree.label_of_string tree) text, unanchored_only) with
@@ -258,7 +258,7 @@ let query_of_text ?unanchored_only tree text =
   | Ok { anchored = true; _ }, Some cmd ->
     Printf.eprintf "%s: an anchored XPath query is not supported; start it with // instead\n" cmd;
     exit 1
-  | Ok q, _ -> (q.twig, Tl_twig.Query.name ~size ~known:(Data_tree.label_name tree) q)
+  | Ok q, _ -> (q.twig, Tl_twig.Query.name ~size ~known:(Data_tree.label_name tree) q, q.anchored)
 
 (* --- estimate / xpath ---------------------------------------------------------- *)
 
@@ -306,7 +306,7 @@ let explain_cmd =
     with_obs obs @@ fun () ->
     let tree = load_tree xml in
     let summary = Summary.build ~k tree in
-    let twig, names = query_of_text ~unanchored_only:"explain" tree query in
+    let twig, names, _ = query_of_text ~unanchored_only:"explain" tree query in
     let trace = Tl_core.Explain.run summary scheme twig in
     print_string (Tl_core.Explain.to_text ~names trace);
     if exact then Printf.printf "exact = %d\n" (Tl_twig.Match_count.count tree twig);
@@ -334,9 +334,18 @@ let match_cmd =
   let run obs xml query limit =
     with_obs obs @@ fun () ->
     let tree = load_tree xml in
-    let twig, names = query_of_text tree query in
+    let twig, names, anchored = query_of_text tree query in
     let matches = Tl_twig.Match_enum.enumerate ~limit tree twig in
-    let total = Tl_twig.Match_count.count tree twig in
+    (* An anchored query keeps only the matches rooted at the document
+       root.  Matches come in document order of their root, so those lead
+       the list, and the first [limit] matches hold every one shown. *)
+    let root = Data_tree.root tree in
+    let matches, total =
+      if anchored then
+        ( List.filter (fun m -> m.(0) = root) matches,
+          Tl_twig.Match_count.selectivity_rooted (Tl_twig.Match_count.create_ctx tree) twig root )
+      else (matches, Tl_twig.Match_count.count tree twig)
+    in
     Printf.printf "%d match(es); showing up to %d\n" total limit;
     let ix = Tl_twig.Twig.index twig in
     List.iteri
@@ -776,7 +785,7 @@ let plan_cmd =
     with_obs obs @@ fun () ->
     let tree = load_tree xml in
     let summary = Summary.build ~k tree in
-    let twig, names = query_of_text ~unanchored_only:"plan" tree query in
+    let twig, names, _ = query_of_text ~unanchored_only:"plan" tree query in
     let naive = Tl_join.Plan.naive twig in
     let guided = Tl_join.Plan.greedy summary twig in
     Printf.printf "naive : %s (estimated cost %.0f)\n"

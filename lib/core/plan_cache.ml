@@ -27,28 +27,21 @@ type shard = { stbl : Estimator.Plan.t Tbl.t; mutable local_hits : int }
 
 type t = {
   summary : Summary.t;
-  epoch : int;
-  shard_capacity : int;
+  capacity : int;
   mutex : Mutex.t;
   shared : Estimator.Plan.t Shared.t;  (* guarded by [mutex] *)
   shards : shard Tl_util.Per_domain.t;
 }
 
-let create ?(capacity = 1024) ?shard_capacity ?(epoch = 0) summary =
+let create ?(capacity = 1024) summary =
   if capacity < 1 then invalid_arg "Plan_cache.create: capacity must be >= 1";
-  let shard_capacity = match shard_capacity with Some c -> max 1 c | None -> capacity in
   {
     summary;
-    epoch;
-    shard_capacity;
+    capacity;
     mutex = Mutex.create ();
     shared = Shared.create ~capacity;
     shards = Tl_util.Per_domain.create (fun () -> { stbl = Tbl.create 64; local_hits = 0 });
   }
-
-let summary t = t.summary
-
-let epoch t = t.epoch
 
 (* Every plan leaving the cache must carry the stamp of the cache's own
    summary: a violation means a plan compiled under another summary leaked
@@ -59,7 +52,7 @@ let check_plan t plan =
   plan
 
 let store_local t shard k plan =
-  if Tbl.length shard.stbl >= t.shard_capacity then Tbl.reset shard.stbl;
+  if Tbl.length shard.stbl >= t.capacity then Tbl.reset shard.stbl;
   Tbl.replace shard.stbl k plan
 
 (* Record shared-LRU displacements into the metrics stream as they happen
@@ -110,13 +103,6 @@ let plan_key_hit t scheme key =
 let count_lookups ~hits ~misses =
   if hits > 0 then Metrics.add "plan_cache.hits" hits;
   if misses > 0 then Metrics.add "plan_cache.misses" misses
-
-let plan_key t scheme key =
-  let plan, hit = plan_key_hit t scheme key in
-  if hit then count_lookups ~hits:1 ~misses:0 else count_lookups ~hits:0 ~misses:1;
-  plan
-
-let plan t scheme twig = plan_key t scheme (Twig.key (Twig.canonicalize twig))
 
 type stats = {
   size : int;

@@ -13,42 +13,28 @@
 
     Hits, misses (= compiles), and evictions are published to
     {!Tl_obs.Metrics} under [plan_cache.*]: evictions as they happen,
-    hits and misses by {!plan_key} per call and by batch callers of
-    {!plan_key_hit} once per batch ({!count_lookups}). *)
+    hits and misses by the callers of {!plan_key_hit}, once per batch
+    ({!count_lookups}). *)
 
 type t
 
-val create : ?capacity:int -> ?shard_capacity:int -> ?epoch:int -> Tl_lattice.Summary.t -> t
+val create : ?capacity:int -> Tl_lattice.Summary.t -> t
 (** A cache of at most [capacity] interned plans (default 1024; raises
     [Invalid_argument] below 1) over a fixed summary.  Each domain's
-    read-through shard holds at most [shard_capacity] entries (default:
-    [capacity]) and refills from the shared table after being dropped.
-    [epoch] (default 0) tags the cache with the serving epoch of the
-    summary it wraps; the cache itself only reports it back via {!epoch}.
-    Every plan served is asserted (in debug builds) to carry the
+    read-through shard holds at most [capacity] entries too, and refills
+    from the shared table after being dropped.  Every plan served is
+    asserted (in debug builds) to carry the
     {!Tl_lattice.Summary.stamp} of this cache's summary, so a plan
     compiled against another summary can never leak through. *)
 
-val summary : t -> Tl_lattice.Summary.t
-
-val epoch : t -> int
-(** The serving epoch this cache was created for. *)
-
-val plan : t -> Estimator.scheme -> Tl_twig.Twig.t -> Estimator.Plan.t
-(** The compiled plan for the query under the scheme: served from this
-    domain's shard, then the shared table, compiled only on a true miss.
-    Safe to call concurrently from any domain; racing first requests may
-    compile redundantly but always return the single interned plan. *)
-
-val plan_key : t -> Estimator.scheme -> Tl_twig.Twig.Key.t -> Estimator.Plan.t
-(** {!plan} for an already-interned canonical key (skips
-    re-canonicalization — the batch engine's path). *)
-
 val plan_key_hit : t -> Estimator.scheme -> Tl_twig.Twig.Key.t -> Estimator.Plan.t * bool
-(** {!plan_key} plus the cache-hit flag the serving audit log records:
-    [true] when the plan was served from a shard or the shared table,
-    [false] when this call compiled it.  It publishes no hit or miss:
-    the caller adds its lookups with {!count_lookups}. *)
+(** The compiled plan for the canonical key under the scheme, with the
+    cache-hit flag the serving audit log records: served from this
+    domain's shard, then the shared table ([true]), and compiled only on
+    a true miss ([false]).  Safe to call concurrently from any domain;
+    racing first requests may compile redundantly but always return the
+    single interned plan.  It publishes no hit or miss: the caller adds
+    its lookups with {!count_lookups}. *)
 
 val count_lookups : hits:int -> misses:int -> unit
 (** Add to the [plan_cache.hits] and [plan_cache.misses] counters (a

@@ -23,8 +23,6 @@ let estimate_interval t twig = Estimator.estimate_interval t.summary twig
 
 let exact t twig = Match_count.selectivity t.ctx twig
 
-let pp_twig t twig = Twig.pp ~names:(Data_tree.label_name t.tree) twig
-
 (* Anchored: only matches rooted at THE root count.  Assuming matches
    spread uniformly over root-labeled nodes (exact when the root tag occurs
    once, the usual case for XML). *)

@@ -44,9 +44,6 @@ val estimate_interval : t -> Tl_twig.Twig.t -> Estimator.interval
 val exact : t -> Tl_twig.Twig.t -> int
 (** Exact selectivity, by full twig matching over the document. *)
 
-val pp_twig : t -> Tl_twig.Twig.t -> string
-(** Render a twig with the document's tag names. *)
-
 val anchored_scale : Tl_tree.Data_tree.t -> Tl_twig.Twig.t -> float -> float
 (** [anchored_scale tree twig estimate] turns the estimate of [twig]
     anywhere in [tree] into the estimate of the anchored XPath query

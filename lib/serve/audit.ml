@@ -1,23 +1,19 @@
 (* The serving audit log: who asked what, what we answered, how long it
    took, and how much of the machinery was reused.
 
-   Same sharding discipline as [Plan_cache]: every domain that records
-   gets a private ring buffer, held by the log itself
-   ([Tl_util.Per_domain]) so the read-side views can merge the rings and
-   the rings are collected with the log's bundle.  Recording is therefore
-   lock-free — one shard lookup, one atomic fetch-and-add for the
+   One ring per log.  A record's slot is its sequence number modulo the
+   capacity, so recording is lock-free — one atomic fetch-and-add for the
    sequence number, one array store — and safe from inside a
-   [Tl_util.Pool] batch evaluation.  Merging is
-   deterministic: records carry unique sequence numbers, every view sorts
-   on them, and the multiset of records (modulo the nondeterministic
-   sequence/latency fields) from a parallel batch equals the sequential
-   one — the property test/test_serve.ml pins.
+   [Tl_util.Pool] batch evaluation or from the TCP server's worker
+   threads alike.  The ring holds the newest [capacity] records.  (Two
+   writers a whole ring apart could store out of order and leave the
+   older record in their slot; that takes [capacity] admissions between
+   one writer's fetch-and-add and its store.)  Merging is deterministic:
+   records carry unique sequence numbers, every view sorts on them, and
+   the multiset of records (modulo the nondeterministic sequence/latency
+   fields) from a parallel batch equals the sequential one — the property
+   test/test_serve.ml pins.  [total] keeps counting past the ring. *)
 
-   A shard outlives its domain, so records written by pool workers stay
-   visible after [Pool.shutdown].  When a ring wraps, the oldest records
-   of that shard are dropped; [total] keeps counting. *)
-
-module Twig = Tl_twig.Twig
 module Metrics = Tl_obs.Metrics
 
 type record = {
@@ -45,12 +41,9 @@ let dummy =
     rel_error = Float.nan;
   }
 
-type shard = { ring : record array; mutable filled : int; mutable next : int }
-
 type t = {
-  capacity : int;  (* per shard *)
   seq : int Atomic.t;
-  shards : shard Tl_util.Per_domain.t;
+  ring : record array;  (* slot [seq mod capacity]; [dummy] until written *)
 }
 
 let () =
@@ -59,23 +52,14 @@ let () =
 
 let create ?(capacity = 4096) () =
   if capacity < 1 then invalid_arg "Audit.create: capacity must be >= 1";
-  {
-    capacity;
-    seq = Atomic.make 0;
-    shards =
-      Tl_util.Per_domain.create (fun () ->
-          { ring = Array.make capacity dummy; filled = 0; next = 0 });
-  }
+  { seq = Atomic.make 0; ring = Array.make capacity dummy }
 
-let capacity t = t.capacity
+let capacity t = Array.length t.ring
 
 let record t ~key_id ~scheme ~estimate ~latency_ns ~plan_hit ~feedback_hit ~clamped ~rel_error =
   let seq = Atomic.fetch_and_add t.seq 1 in
-  let s = Tl_util.Per_domain.get t.shards in
-  s.ring.(s.next) <-
+  t.ring.(seq mod Array.length t.ring) <-
     { seq; key_id; scheme; estimate; latency_ns; plan_hit; feedback_hit; clamped; rel_error };
-  s.next <- (s.next + 1) mod t.capacity;
-  if s.filled < t.capacity then s.filled <- s.filled + 1;
   Metrics.observe "serve.latency_ns" latency_ns
 
 let count_records n = if n > 0 then Metrics.add "audit.records" n
@@ -84,20 +68,14 @@ let total t = Atomic.get t.seq
 
 (* --- read-side views ----------------------------------------------------- *)
 
-let all_shards t = Tl_util.Per_domain.all t.shards
-
-(* Snapshot every shard's live records.  Concurrent writers may overwrite
-   a slot mid-read; records are immutable values, so a read sees either
-   the old or the new record, never a torn one. *)
+(* Snapshot the ring's written slots.  Concurrent writers may overwrite a
+   slot mid-read; records are immutable values, so a read sees either the
+   old or the new record, never a torn one. *)
 let records t =
-  let collected =
-    List.concat_map
-      (fun s -> Array.to_list (Array.sub s.ring 0 s.filled))
-      (all_shards t)
-  in
-  List.sort (fun (a : record) b -> compare a.seq b.seq) collected
+  let held = List.filter (fun (r : record) -> r.seq >= 0) (Array.to_list t.ring) in
+  List.sort (fun (a : record) b -> compare a.seq b.seq) held
 
-let size t = List.fold_left (fun acc s -> acc + s.filled) 0 (all_shards t)
+let size t = Array.fold_left (fun acc (r : record) -> if r.seq >= 0 then acc + 1 else acc) 0 t.ring
 
 let recent ?(limit = 64) t =
   let newest_first = List.sort (fun (a : record) b -> compare b.seq a.seq) (records t) in
@@ -124,12 +102,7 @@ let top_uncertain ?(k = 10) t =
   in
   Tl_util.Prelude.list_take (max 0 k) (List.sort by_error sampled)
 
-let reset t =
-  List.iter
-    (fun s ->
-      s.filled <- 0;
-      s.next <- 0)
-    (all_shards t)
+let reset t = Array.fill t.ring 0 (Array.length t.ring) dummy
 
 (* --- JSONL ---------------------------------------------------------------- *)
 

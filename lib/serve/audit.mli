@@ -6,19 +6,17 @@
     answered, whether the non-finite clamp fired, and (when the drift
     {!Monitor} sampled the query) the measured relative error.
 
-    Recording is sharded per domain: each domain writes into a private
-    ring that the log owns ({!Tl_util.Per_domain}; one shard lookup, one
-    atomic fetch-and-add for the admission sequence number, one array
-    store — no locks), so the rings die with the log, and audit
-    instrumentation is safe and cheap
-    inside a pooled batch evaluation.  The read-side views merge all
-    shards and sort on the unique sequence numbers; the record multiset
-    of a parallel batch equals the sequential one (modulo the
-    nondeterministic sequence and latency fields) — asserted by
-    [test/test_serve.ml].
+    Records go into one ring per log, at slot [seq mod capacity] of
+    their atomic admission sequence number: one atomic fetch-and-add and
+    one array store, no locks.  Audit instrumentation is therefore safe
+    and cheap inside a pooled batch evaluation and from the TCP server's
+    worker threads.  The read-side views sort on the unique sequence
+    numbers; the record multiset of a parallel batch equals the
+    sequential one (modulo the nondeterministic sequence and latency
+    fields) — asserted by [test/test_serve.ml].
 
-    Each ring holds the last [capacity] records of its domain; older
-    records are dropped (but still counted by {!total}).  Each admission
+    The ring holds the newest [capacity] records; older records are
+    dropped (but still counted by {!total}).  Each admission
     is also observed in the [serve.latency_ns] histogram of
     {!Tl_obs.Metrics}, so latency quantiles are scrapeable without
     touching the log itself; the [audit.records] counter is bumped once
@@ -39,9 +37,9 @@ type record = {
 type t
 
 val create : ?capacity:int -> unit -> t
-(** An audit log holding up to [capacity] records {e per recording
-    domain} (default 4096).  Raises [Invalid_argument] when
-    [capacity < 1]. *)
+(** An audit log holding up to [capacity] records in total, from every
+    recording domain and thread (default 4096).  Raises
+    [Invalid_argument] when [capacity < 1]. *)
 
 val capacity : t -> int
 
@@ -56,8 +54,8 @@ val record :
   clamped:bool ->
   rel_error:float ->
   unit
-(** Admit one record on the calling domain's shard.  Lock-free; safe from
-    any domain, including pool workers mid-batch. *)
+(** Admit one record.  Lock-free; safe from any domain or thread,
+    including pool workers mid-batch. *)
 
 val count_records : int -> unit
 (** Add [n] admissions to the [audit.records] counter.  {!record} leaves
@@ -68,10 +66,10 @@ val total : t -> int
 (** Records ever admitted (including those rings have since dropped). *)
 
 val size : t -> int
-(** Records currently held across all shards. *)
+(** Records currently held: at most [capacity]. *)
 
 val records : t -> record list
-(** All held records, merged across shards, oldest first (by [seq]).
+(** All held records, oldest first (by [seq]).
     Call between batches for an exact snapshot; concurrent recording can
     only add or age out whole records, never tear one. *)
 
@@ -93,4 +91,4 @@ val record_json : ?dataset:string -> record -> string
     ["dataset"] field when [dataset] is given. *)
 
 val reset : t -> unit
-(** Drop all held records on every shard ({!total} keeps counting). *)
+(** Drop all held records ({!total} keeps counting). *)

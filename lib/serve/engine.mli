@@ -24,56 +24,44 @@
 
 type t
 
-val create :
-  ?scheme:Tl_core.Estimator.scheme -> ?plan_capacity:int -> ?epoch:int -> Tl_lattice.Summary.t -> t
+val create : ?scheme:Tl_core.Estimator.scheme -> ?plan_capacity:int -> Tl_lattice.Summary.t -> t
 (** An engine estimating with [scheme] by default
     ({!Tl_core.Treelattice.default_scheme}) and caching up to
     [plan_capacity] compiled plans (see {!Tl_core.Plan_cache.create}).
-    [epoch] (default 0) stamps the engine with the serving epoch of its
-    summary — see {!Registry} for the lifecycle.  Both the engine and its
-    plan cache carry the epoch, and every evaluation asserts (in debug
-    builds) that the two still agree and that the served plan was compiled
-    against this engine's summary: a plan can never be evaluated under a
-    summary it was not built for. *)
+    The engine serves one summary for its whole life, and its plan cache
+    asserts (in debug builds) that every served plan was compiled against
+    that summary: a plan can never be evaluated under a summary it was not
+    built for.  Which summary is current is the {!Registry}'s business. *)
 
 val scheme : t -> Tl_core.Estimator.scheme
-
-val epoch : t -> int
-(** The serving epoch this engine was created for (0 for standalone
-    engines built outside a {!Registry}). *)
-
-val summary : t -> Tl_lattice.Summary.t
 
 val estimate :
   ?scheme:Tl_core.Estimator.scheme ->
   ?extra:(Tl_twig.Twig.Key.t -> float option) ->
-  ?audit:Audit.t ->
   t ->
   Tl_twig.Twig.t ->
   float
 (** One query through the plan cache: the per-call path for callers that
     do not batch but still repeat queries ({!Tl_harness.Experiments} runs
-    every figure through this).  With [?audit], the query additionally
-    leaves an {!Audit} record (key id, scheme, estimate, latency,
-    plan-cache hit, feedback hit, clamp flag); without it the evaluation
-    path is exactly the uninstrumented one. *)
+    every figure through this).  It leaves no {!Audit} record. *)
 
 val batch :
   ?pool:Tl_util.Pool.t ->
-  ?scheme:Tl_core.Estimator.scheme ->
   ?extra:(Tl_twig.Twig.Key.t -> float option) ->
   ?audit:Audit.t ->
   ?monitor:Monitor.t ->
   t ->
   Tl_twig.Twig.t array ->
   float array
-(** Estimates in input order.  Distinct queries (after canonicalization)
+(** Estimates in input order, under the engine's scheme.  Distinct queries (after canonicalization)
     are evaluated once each; with a [pool], distinct queries spread across
     its domains, chunked by a per-query size hint so one deep twig does
     not serialize the tail of a skewed batch.
 
-    With [?audit], every distinct evaluation leaves an audit record (from
-    whichever domain ran it — recording is lock-free).  With [?monitor],
+    With [?audit], every distinct evaluation leaves an audit record (key
+    id, scheme, estimate, latency, plan-cache hit, feedback hit, clamp
+    flag), from whichever domain ran it — recording is lock-free.  Without
+    it no clock is read.  With [?monitor],
     the drift monitor draws its sampling decisions and replays the exact
     oracle on the {e caller} domain before the parallel phase, and folds
     the observations in afterwards, also on the caller — so a non-domain-

@@ -2,17 +2,21 @@ module Twig = Tl_twig.Twig
 module Summary = Tl_lattice.Summary
 module Summary_io = Tl_lattice.Summary_io
 module Data_tree = Tl_tree.Data_tree
-module Interner = Tl_util.Interner
 module Estimator = Tl_core.Estimator
 module Treelattice = Tl_core.Treelattice
 module Adaptive = Tl_core.Adaptive
 module Metrics = Tl_obs.Metrics
 
-(* A bundle's label space: the backing document's interner, or a
-   standalone name table for datasets loaded from a summary file alone.
-   Either way label ids are dense and name-addressable, which is what
-   query parsing and the by-name validation below need. *)
-type labels = Doc of Data_tree.t | Names of Interner.t
+(* A bundle's label space: tag names indexed by label id, and the lookup
+   from a name back to its id.  A document-backed bundle takes its
+   document's tags, a summary-only one the names its summary file stores.
+   Query parsing and the by-name validation below need nothing more. *)
+type labels = { names : string array; ids : (string, int) Hashtbl.t }
+
+let labels_of_names names =
+  let ids = Hashtbl.create (Array.length names) in
+  Array.iteri (fun l name -> Hashtbl.replace ids name l) names;
+  { names; ids }
 
 module Text_lru = Tl_util.Lru.Make (struct
   type t = string
@@ -30,6 +34,7 @@ type bundle = {
   b_epoch : int;
   b_summary : Summary.t;
   b_labels : labels;
+  b_tree : Data_tree.t option;  (* the backing document; [None] when summary-only *)
   b_engine : Engine.t;
   b_adaptive : Adaptive.t option;
   b_audit : Audit.t;
@@ -112,17 +117,12 @@ let fail t msg =
 
 (* --- bundle construction ------------------------------------------------- *)
 
-let label_space = function Doc tree -> Data_tree.label_count tree | Names i -> Interner.size i
-
-let name_of_label labels l =
-  match labels with Doc tree -> Data_tree.label_name tree l | Names i -> Interner.name i l
-
 (* A summary whose twigs reference label ids outside the bundle's label
    space was built against a different interner; serving it would return
    selectivities of arbitrary other tags.  Rejected here, before any
    bundle is built. *)
 let validate_labels ~labels summary =
-  let space = label_space labels in
+  let space = Array.length labels.names in
   let bad = ref (-1) in
   let rec walk (tw : Twig.t) =
     if tw.Twig.label < 0 || tw.Twig.label >= space then bad := tw.Twig.label;
@@ -160,7 +160,7 @@ let make_monitor cfg ~labels ~adaptive =
             if l = absent_label then l
             else
               Option.value ~default:absent_label
-                (Data_tree.label_of_string drift_tree (name_of_label labels l))
+                (Data_tree.label_of_string drift_tree labels.names.(l))
           in
           let twig = Twig.canonicalize (Twig.map_labels remap (Twig.Key.twig key)) in
           count (Twig.key twig))
@@ -171,12 +171,12 @@ let make_monitor cfg ~labels ~adaptive =
          no exact oracle at all. *)
       match adaptive with Some a -> monitor (Monitor.oracle_of_adaptive a) | None -> None)
 
-let build_bundle t ~name ~epoch ~labels summary =
+let build_bundle t ~name ~epoch ~labels ~tree summary =
   match validate_labels ~labels summary with
   | Error _ as e -> e
   | Ok () ->
     let cfg = t.cfg in
-    let engine = Engine.create ~scheme:cfg.scheme ?plan_capacity:cfg.plan_capacity ~epoch summary in
+    let engine = Engine.create ~scheme:cfg.scheme ?plan_capacity:cfg.plan_capacity summary in
     let parsed =
       { pc_mutex = Mutex.create (); pc_lru = Text_lru.create ~capacity:(Engine.stats engine).capacity }
     in
@@ -184,10 +184,10 @@ let build_bundle t ~name ~epoch ~labels summary =
        drift monitor replaying against the dataset's own document.  Any
        other bundle answers every plan with its compiled constant. *)
     let adaptive =
-      match labels with
-      | Doc tree when cfg.sample_rate > 0.0 && cfg.drift_tree = None ->
+      match tree with
+      | Some tree when cfg.sample_rate > 0.0 && cfg.drift_tree = None ->
         Some (Adaptive.create (Treelattice.of_summary tree summary))
-      | Doc _ | Names _ -> None
+      | _ -> None
     in
     Ok
       {
@@ -195,6 +195,7 @@ let build_bundle t ~name ~epoch ~labels summary =
         b_epoch = epoch;
         b_summary = summary;
         b_labels = labels;
+        b_tree = tree;
         b_engine = engine;
         b_adaptive = adaptive;
         b_audit = Audit.create ();
@@ -206,13 +207,13 @@ let build_bundle t ~name ~epoch ~labels summary =
 
 let epoch_gauge name epoch = Metrics.set_gauge ("registry.epoch." ^ name) epoch
 
-let install t ~name ?source ~labels summary =
+let install t ~name ?source ~labels ~tree summary =
   (* The epoch is drawn before the (possibly slow) bundle build; racing
      installs for the same dataset thus resolve by epoch order below —
      the bundle built later in program order can never be displaced by a
      straggler holding an older epoch. *)
   let epoch = Atomic.fetch_and_add t.next_epoch 1 in
-  match build_bundle t ~name ~epoch ~labels summary with
+  match build_bundle t ~name ~epoch ~labels ~tree summary with
   | Error _ as e -> e
   | Ok bundle ->
     Mutex.lock t.mutex;
@@ -258,12 +259,12 @@ let default t = match dataset_names t with [] -> None | name :: _ -> find t name
 let install_document ?pool t ~name ?source tree =
   match Summary.build ?pool ~k:t.cfg.k tree with
   | exception Invalid_argument msg -> fail t msg
-  | summary -> install t ~name ?source ~labels:(Doc tree) summary
+  | summary ->
+    install t ~name ?source ~labels:(labels_of_names (Data_tree.label_names tree)) ~tree:(Some tree)
+      summary
 
 let install_summary t ~name ?source ~names summary =
-  let interner = Interner.create () in
-  Array.iter (fun n -> ignore (Interner.intern interner n)) names;
-  match install t ~name ?source ~labels:(Names interner) summary with
+  match install t ~name ?source ~labels:(labels_of_names names) ~tree:None summary with
   | Error msg -> fail t msg
   | Ok _ as ok -> ok
 
@@ -271,7 +272,7 @@ let swap t name summary =
   match find t name with
   | None -> fail t (Printf.sprintf "unknown dataset %S" name)
   | Some cur -> (
-    match install t ~name ~labels:cur.b_labels summary with
+    match install t ~name ~labels:cur.b_labels ~tree:cur.b_tree summary with
     | Error msg -> fail t msg
     | Ok _ as ok -> ok)
 
@@ -285,13 +286,13 @@ let load ?pool t name path =
     | tree -> install_document ?pool t ~name ~source:path tree
   else
     match find t name with
-    | Some { b_labels = Doc tree; _ } ->
+    | Some ({ b_tree = Some _; _ } as cur) ->
       (* The satellite label-mismatch guard: a summary routed to a
          document-backed dataset is re-keyed by tag name into the
          document's interner, and a name the document lacks proves the
          summary was not built from (a relabeling of) this document. *)
       let intern tag =
-        match Data_tree.label_of_string tree tag with
+        match Hashtbl.find_opt cur.b_labels.ids tag with
         | Some l -> l
         | None ->
           raise
@@ -301,8 +302,8 @@ let load ?pool t name path =
       (match Summary_io.load_file ~intern path with
       | exception Summary_io.Format_error msg -> fail t (Printf.sprintf "%s: %s" path msg)
       | exception Sys_error msg -> fail t msg
-      | summary, _names -> install t ~name ~source:path ~labels:(Doc tree) summary)
-    | Some { b_labels = Names _; _ } | None -> (
+      | summary, _names -> install t ~name ~source:path ~labels:cur.b_labels ~tree:cur.b_tree summary)
+    | Some { b_tree = None; _ } | None -> (
       match Summary_io.load_file path with
       | exception Summary_io.Format_error msg -> fail t (Printf.sprintf "%s: %s" path msg)
       | exception Sys_error msg -> fail t msg
@@ -340,10 +341,9 @@ let monitor b = b.b_monitor
 
 let adaptive b = b.b_adaptive
 
-let tree b = match b.b_labels with Doc tree -> Some tree | Names _ -> None
+let tree b = b.b_tree
 
-let label_names b =
-  match b.b_labels with Doc tree -> Data_tree.label_names tree | Names i -> Interner.names i
+let label_names b = b.b_labels.names
 
 (* --- query parsing ------------------------------------------------------- *)
 
@@ -352,9 +352,9 @@ let label_names b =
    shape, so it scales by the root tag's own level-1 occurrence count and
    cannot check which tag the root is. *)
 let anchored_scale b (twig : Twig.t) estimate =
-  match b.b_labels with
-  | Doc tree -> Treelattice.anchored_scale tree twig estimate
-  | Names _ ->
+  match b.b_tree with
+  | Some tree -> Treelattice.anchored_scale tree twig estimate
+  | None ->
     let occurrences =
       match Summary.find b.b_summary (Twig.leaf twig.Twig.label) with Some c -> c | None -> 0
     in
@@ -368,16 +368,12 @@ let absent_twig = Twig.leaf absent_label
 (* Tags resolve by lookup only, so parsing never writes to the label space
    that concurrent connections share. *)
 let parse_uncached b line =
-  let size, find =
-    match b.b_labels with
-    | Doc tree -> (Data_tree.label_count tree, Data_tree.label_of_string tree)
-    | Names i -> (Interner.size i, Interner.find i)
-  in
+  let { names; ids } = b.b_labels in
   Result.map
     (fun { Tl_twig.Query.twig; anchored; unknown } ->
       if unknown <> [] then (absent_twig, Fun.id)
       else (twig, if anchored then anchored_scale b twig else Fun.id))
-    (Tl_twig.Query.parse ~size ~find line)
+    (Tl_twig.Query.parse ~size:(Array.length names) ~find:(Hashtbl.find_opt ids) line)
 
 (* Longest line the parse cache keeps.  Query lines are short; a longer
    one (padding, say) is parsed uncached, so the cache holds at most
@@ -451,7 +447,7 @@ let datasets_json t =
             \"alarm\": %b}"
            (Tl_util.Prelude.json_escape b.b_name)
            b.b_epoch (Summary.entries b.b_summary) (Summary.k b.b_summary)
-           (match b.b_labels with Doc _ -> "document" | Names _ -> "summary")
+           (if Option.is_some b.b_tree then "document" else "summary")
            drift_alarm))
     (list t);
   Buffer.add_string buf "]}\n";

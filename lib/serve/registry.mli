@@ -9,10 +9,11 @@
     pointer store:
 
     - a batch holds the bundle it started with, so in-flight work always
-      finishes on the epoch it began on — there is no moment at which a
-      plan compiled under one summary can be evaluated under another (the
-      epoch threaded through {!Tl_core.Plan_cache} and {!Engine} asserts
-      this in debug builds);
+      finishes on the epoch it began on, which only the bundle records.
+      No plan compiled under one summary is evaluated under another: a
+      bundle's {!Tl_core.Plan_cache} serves one summary and asserts, in
+      debug builds, that every plan it serves carries that summary's
+      stamp;
     - new batches pick up the new bundle on their next {!find};
     - a failed load or validation leaves the old bundle serving untouched
       — graceful degradation, surfaced through the
@@ -20,12 +21,13 @@
       reload-failure {!alarm} (which does {e not} flip [/healthz]: the old
       epoch is still healthy).
 
-    Label safety: a bundle knows its label space (the backing document's
-    interner, or a name table for summary-only datasets), and installing
-    a summary whose twigs reference labels outside that space — or, on
-    the file-loading path, whose embedded label {e names} are absent from
-    the routed document — is rejected with a descriptive error instead of
-    silently serving wrong selectivities.
+    Label safety: a bundle's label space is one table of tag names and
+    their ids, taken from the backing document or, for a summary-only
+    dataset, from the summary file.  Installing a summary whose twigs
+    reference labels outside that space is rejected with a descriptive
+    error instead of silently serving wrong selectivities; so, on the
+    file-loading path, is a summary whose embedded label {e names} the
+    routed document lacks.
 
     Metrics: [registry.datasets], [registry.epoch.<name>] gauges,
     [registry.reloads_total] / [registry.reload_failures_total] counters,

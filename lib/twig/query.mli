@@ -25,7 +25,14 @@ type t = {
 
 val parse : size:int -> find:(string -> int option) -> string -> (t, string) result
 (** [parse ~size ~find text] reads [text] in either syntax against a label
-    space of [size] labels whose names [find] resolves. *)
+    space of [size] labels whose names [find] resolves.
+
+    A query may have at most 64 nodes; the paper's workloads use 4 to 9.
+    A larger one is an [Error] naming its node count and the limit.  The
+    bound is checked on the syntax tree, before any tag is resolved or the
+    twig canonicalized: a canonical key holds the encoding of every
+    subtree, so a path of depth d costs O(d{^2}) memory to key, and one
+    deep line would otherwise exhaust a server's memory. *)
 
 val resolver : size:int -> find:(string -> int option) -> string -> int
 (** [resolver ~size ~find] is a fresh resolver for one query, assigning

@@ -475,8 +475,6 @@ module Key = struct
 
   type nonrec split = split = { t1 : t; t2 : t; cap : t; twin : bool }
 
-  let of_twig = key_of
-
   let twig k = k.twig
 
   let id k = k.id

@@ -87,9 +87,6 @@ module Key : sig
 
   type t
 
-  val of_twig : twig -> t
-  (** Canonicalize and intern; O(1) for already-keyed nodes. *)
-
   val twig : t -> twig
   (** The canonical representative twig. *)
 
@@ -143,7 +140,7 @@ module Key : sig
 end
 
 val key : t -> Key.t
-(** Alias of {!Key.of_twig}. *)
+(** Canonicalize and intern; O(1) for already-keyed nodes. *)
 
 val map_labels : (int -> int) -> t -> t
 (** Relabel; the result is {e not} re-canonicalized. *)

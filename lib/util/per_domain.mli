@@ -4,7 +4,7 @@
     ['a], made on that domain's first call.  Unlike a [Domain.DLS] key,
     which the runtime never frees, the per-domain values are held by the
     ['a t] itself and are collected with it: a {!Tl_core.Plan_cache} shard
-    or a [Tl_serve.Audit] ring dies with the bundle that owns it.
+    dies with the cache that owns it.
 
     {!get} after a domain's first call is lock-free: one read of the
     domain's id from a process-wide DLS key, one atomic load of an array

@@ -657,8 +657,18 @@ let test_frontend_unknown_tag_is_zero () =
 let test_frontend_pp () =
   let tree = Helpers.tree_of Helpers.shop_spec in
   let tl = Treelattice.build ~k:3 tree in
-  let twig = Helpers.twig_of_string tree "laptop(brand,price)" in
-  Alcotest.(check string) "pretty printed" "laptop(brand,price)" (Treelattice.pp_twig tl twig)
+  let pp text =
+    match Treelattice.parse_text tl text with
+    | Ok q ->
+      let names =
+        Tl_twig.Query.name ~size:(Tl_tree.Data_tree.label_count tree)
+          ~known:(Tl_tree.Data_tree.label_name tree) q
+      in
+      Twig.pp ~names q.Tl_twig.Query.twig
+    | Error msg -> Alcotest.failf "parse %S: %s" text msg
+  in
+  Alcotest.(check string) "pretty printed" "laptop(brand,price)" (pp "laptop(brand,price)");
+  Alcotest.(check string) "an unknown tag keeps its name" "laptop(brand,ghost)" (pp "laptop(ghost,brand)")
 
 let test_frontend_prune () =
   let tree = Helpers.tree_of Helpers.regular_spec in

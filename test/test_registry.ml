@@ -151,8 +151,8 @@ let[@inline never] serve_and_watch t name twigs =
   let b = Option.get (Registry.find t name) in
   ignore (Registry.batch b twigs);
   let engine = Registry.engine b in
-  let plan =
-    Tl_core.Plan_cache.plan_key (Tl_serve.Engine.plan_cache engine) (Tl_serve.Engine.scheme engine)
+  let plan, _ =
+    Tl_core.Plan_cache.plan_key_hit (Tl_serve.Engine.plan_cache engine) (Tl_serve.Engine.scheme engine)
       (Twig.key (Twig.canonicalize twigs.(0)))
   in
   let plan_w = Weak.create 1 and record_w = Weak.create 1 in

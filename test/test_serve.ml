@@ -88,11 +88,12 @@ let test_plan_probe_reports_without_perturbing () =
 let test_plan_cache_interns () =
   let tree = Helpers.tree_of Helpers.fig11_spec in
   let cache = Plan_cache.create ~capacity:8 (Summary.build ~k:3 tree) in
-  let twig = Helpers.twig_of_string tree "a(b(c,d))" in
-  let p1 = Plan_cache.plan cache Estimator.Recursive twig in
-  let p2 = Plan_cache.plan cache Estimator.Recursive twig in
+  let key = Twig.key (Helpers.twig_of_string tree "a(b(c,d))") in
+  let p1, hit1 = Plan_cache.plan_key_hit cache Estimator.Recursive key in
+  let p2, hit2 = Plan_cache.plan_key_hit cache Estimator.Recursive key in
   Alcotest.(check bool) "same compiled plan" true (p1 == p2);
-  let p3 = Plan_cache.plan cache Estimator.Fixed_size twig in
+  Alcotest.(check (pair bool bool)) "compiled, then hit" (false, true) (hit1, hit2);
+  let p3, _ = Plan_cache.plan_key_hit cache Estimator.Fixed_size key in
   Alcotest.(check bool) "schemes keyed apart" true (p1 != p3);
   let s = Plan_cache.stats cache in
   Alcotest.(check int) "two plans interned" 2 s.Plan_cache.size;
@@ -101,10 +102,12 @@ let test_plan_cache_interns () =
 
 let test_plan_cache_eviction_bounded () =
   let tree = Helpers.tree_of Helpers.fig11_spec in
-  let cache = Plan_cache.create ~capacity:2 ~shard_capacity:2 (Summary.build ~k:3 tree) in
+  let cache = Plan_cache.create ~capacity:2 (Summary.build ~k:3 tree) in
   let queries = [ "a(b(c,d))"; "a(b(c),b(d))"; "a(b,b,b,b)"; "a(b(c,c,d))" ] in
   List.iter
-    (fun q -> ignore (Plan_cache.plan cache Estimator.Recursive (Helpers.twig_of_string tree q)))
+    (fun q ->
+      let key = Twig.key (Helpers.twig_of_string tree q) in
+      ignore (Plan_cache.plan_key_hit cache Estimator.Recursive key))
     queries;
   let s = Plan_cache.stats cache in
   Alcotest.(check int) "bounded" 2 s.Plan_cache.size;

@@ -414,6 +414,25 @@ let test_overlong_line_cut () =
   Alcotest.(check bool) "a fresh connection still answers" true
     (contains ~needle:"\td\t" (exchange port [ "a(b,b)\n\n" ]))
 
+(* A path of 100,001 nodes (300 KB, under the line cap) would cost
+   gigabytes to key.  The node bound answers it with one error line within
+   a second, and the server keeps answering fresh connections. *)
+let test_deep_line_refused () =
+  let t, _, _ = registry_with_fig11 () in
+  with_server t @@ fun server ->
+  let port = Server.port server in
+  let depth = 100_000 in
+  let deep =
+    String.concat "" (List.init depth (fun _ -> "a(")) ^ "b" ^ String.make depth ')' ^ "\n\n"
+  in
+  let t0 = Unix.gettimeofday () in
+  let got = exchange port [ deep ] in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check string) "one error line" "error\tquery has 100001 nodes; the limit is 64\n\n" got;
+  Alcotest.(check bool) "answered within 1 s" true (elapsed < 1.0);
+  Alcotest.(check bool) "a fresh connection still answers" true
+    (contains ~needle:"\td\t" (exchange port [ "a(b,b)\n\n" ]))
+
 (* --- one request path ------------------------------------------------------- *)
 
 (* The same mixed lines answered in process by [Protocol.answer] and over
@@ -664,6 +683,8 @@ let () =
             test_trickled_line_meets_deadline;
           Alcotest.test_case "a 2 MiB line is cut, the server keeps serving" `Quick
             test_overlong_line_cut;
+          Alcotest.test_case "a 100,001-node line is refused, the server keeps serving" `Quick
+            test_deep_line_refused;
         ] );
       ( "novel_tags",
         [
