@@ -18,11 +18,11 @@ end)
    hit/miss counters, so an unguarded concurrent [lookup] can corrupt
    links or lose counts; serving batches evaluate across a domain pool
    with [Engine.batch ~extra:(lookup a)], which makes the safe-by-default
-   contract non-negotiable.  A single mutex (rather than Plan_cache's
-   mutex-plus-shards split) is the right shape here: a feedback lookup is a
-   handful of int hashes and pointer splices, far too little work to
-   amortize per-domain shards, and the critical section never allocates
-   on the hit path. *)
+   contract non-negotiable.  The lock is taken per operation, not once
+   per batch as Plan_cache's is, because lookups come from inside a
+   plan's evaluation, on whichever domain runs it; each is a handful of
+   int hashes and pointer splices, and the critical section never
+   allocates on the hit path. *)
 type t = { tl : Treelattice.t; lock : Mutex.t; cache : int Cache.t }
 
 let create ?(capacity = 256) tl =

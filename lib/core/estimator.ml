@@ -134,8 +134,8 @@ let cover twig ~k =
    survive reloads.  Compiling every serve-churn pool query over the four
    20k-element documents interns 38k keys (27 MB of live heap, with their
    index views) and builds 285k splits on them (15 MB more).  Plans, by
-   contrast, belong to a summary and are cached per bundle ([Plan_cache]),
-   whose per-domain shards die with the bundle. *)
+   contrast, belong to a summary and are cached per bundle, in one LRU
+   ([Plan_cache]) that dies with the bundle. *)
 module Plan = struct
   type pair = { s1 : int; s2 : int; scap : int; twin : bool }
 
@@ -320,6 +320,15 @@ module Plan = struct
 
   let no_extra _ = None
 
+  (* A [Recursive_voting] compile visits every leaf-pair split of every
+     sub-twig: about 2^l slots for a star of l leaves (247 at 8 leaves,
+     8,178 at 13).  Past this many slots it stops, drops what it built and
+     compiles [Recursive] instead, so one short query cannot hold a worker
+     for seconds. *)
+  let voting_slot_budget = 4096
+
+  exception Over_budget
+
   let compile summary sch twig =
     Metrics.incr "plan.compiles";
     let twig = Twig.canonicalize twig in
@@ -343,6 +352,7 @@ module Plan = struct
     let rec comp_rec ~voting key =
       match Hashtbl.find_opt index_of (Twig.Key.id key) with
       | Some idx -> idx
+      | None when voting && !n_slots >= voting_slot_budget -> raise_notrace Over_budget
       | None -> (
         match Summary.find_key summary key with
         | Some count -> push key (Stored count)
@@ -379,7 +389,13 @@ module Plan = struct
     let prog =
       match sch with
       | Recursive -> Slot_value (comp_rec ~voting:false root_key)
-      | Recursive_voting -> Slot_value (comp_rec ~voting:true root_key)
+      | Recursive_voting -> (
+        try Slot_value (comp_rec ~voting:true root_key)
+        with Over_budget ->
+          Hashtbl.reset index_of;
+          rev_slots := [];
+          n_slots := 0;
+          Slot_value (comp_rec ~voting:false root_key))
       | Fixed_size | Fixed_size_voting _ ->
         if Twig.Key.size root_key <= k then Slot_value (comp_small root_key)
         else begin

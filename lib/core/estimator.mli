@@ -24,7 +24,12 @@
 
 type scheme =
   | Recursive  (** deterministic leaf-pair choice *)
-  | Recursive_voting  (** average over all leaf pairs at every level *)
+  | Recursive_voting
+      (** average over all leaf pairs at every level.  A twig whose voting
+          decomposition needs more than 4,096 distinct sub-twigs (every
+          star of up to 12 leaves and every twig of up to 12 nodes needs
+          fewer) is compiled under [Recursive] instead: it gets that
+          plan's estimate, bit for bit, and one first-level vote. *)
   | Fixed_size  (** deterministic preorder cover *)
   | Fixed_size_voting of int
       (** average over this many randomized covers (>= 1); seeded
@@ -107,7 +112,8 @@ val first_level_votes :
 (** The estimates contributed by each admissible leaf-pair choice at the
     {e top} level of the recursive decomposition — the root pairs of the
     [Recursive_voting] plan — with each side estimated under [Recursive].
-    A singleton for lattice-resident twigs —
+    A singleton for lattice-resident twigs, for twigs past the voting
+    budget (see {!Recursive_voting}),
     or for twigs the [extra] feedback source answers at the top level; the
     source is also consulted inside every sub-estimate, mirroring
     {!estimate}.  This isolates the sensitivity of the scheme to the pair

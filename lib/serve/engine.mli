@@ -12,9 +12,12 @@
     [tl_estimates_nonfinite] metric, so the serving surface never leaks
     nan or infinity to a client.
 
-    Thread safety: one engine may serve many domains concurrently (the
-    plan cache is sharded for exactly that), and the serving stack is
-    safe by default end to end — {!Tl_core.Adaptive} locks internally,
+    Thread safety: one engine may serve many threads and domains
+    concurrently.  Only the thread that calls {!batch} or {!estimate}
+    touches the plan cache: it takes the cache's lock once to look up the
+    batch's plans and once more to add the plans it compiled, and pool
+    workers compile and evaluate without touching the cache.  The serving
+    stack is safe by default end to end — {!Tl_core.Adaptive} locks internally,
     so [batch ~pool ~extra:(Tl_core.Adaptive.lookup a)] composes without
     caller-side synchronization.  A hand-written [?extra] source is
     called from every evaluating domain and must itself be domain-safe

@@ -13,6 +13,10 @@ module Make (H : Hashtbl.HashedType) = struct
     mutable value : 'a;
     mutable prev : 'a node option;  (* toward the most-recent end *)
     mutable next : 'a node option;  (* toward the least-recent end *)
+    self : 'a node option;
+        (* [Some] of this node, made once: a splice then allocates nothing
+           and stores no young block into an old node, so a hit costs the
+           minor GC nothing *)
   }
 
   type 'a t = {
@@ -54,8 +58,8 @@ module Make (H : Hashtbl.HashedType) = struct
   let push_front t node =
     node.prev <- None;
     node.next <- t.head;
-    (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
-    t.head <- Some node
+    (match t.head with Some h -> h.prev <- node.self | None -> t.tail <- node.self);
+    t.head <- node.self
 
   let touch t node =
     match node.prev with
@@ -93,7 +97,7 @@ module Make (H : Hashtbl.HashedType) = struct
       touch t node
     | None ->
       if Table.length t.table >= t.capacity then evict_lru t;
-      let node = { nkey = key; value; prev = None; next = None } in
+      let rec node = { nkey = key; value; prev = None; next = None; self = Some node } in
       Table.replace t.table key node;
       push_front t node
 

@@ -10,7 +10,7 @@
 
     A map is {e not} synchronized; share one across domains only behind a
     caller-owned lock — which is exactly what both named consumers do:
-    {!Tl_core.Plan_cache} guards its shared table with its mutex, and
+    {!Tl_core.Plan_cache} guards its table with its mutex, and
     {!Tl_core.Adaptive} wraps every cache operation in an internal lock. *)
 
 module Make (H : Hashtbl.HashedType) : sig

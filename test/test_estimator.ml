@@ -286,6 +286,63 @@ let test_first_level_votes () =
   let stored = Helpers.twig_of_string tree "b(c,d)" in
   Alcotest.(check (list (float 1e-6))) "stored singleton" [ 4.0 ] (Estimator.first_level_votes s stored)
 
+(* --- the voting compile's slot budget ------------------------------------------ *)
+
+(* A root with 63 distinct child tags, child [i] repeated [1 + i mod 3]
+   times, so a star's count is a product rather than 1. *)
+let wide_star_tree () =
+  let tags = ref [ "r" ] in
+  for i = 0 to 62 do
+    for _ = 0 to i mod 3 do
+      tags := Printf.sprintf "c%d" i :: !tags
+    done
+  done;
+  let tags = Array.of_list (List.rev !tags) in
+  Data_tree.of_preorder ~tags ~parents:(Array.mapi (fun i _ -> if i = 0 then -1 else 0) tags)
+
+let star tree n =
+  let label tag = Option.get (Data_tree.label_of_string tree tag) in
+  Twig.node (label "r") (List.init n (fun i -> Twig.leaf (label (Printf.sprintf "c%d" i))))
+
+(* Up to 12 leaves a star's voting plan keeps every leaf pair: the
+   12-child star needs 4,095 of the 4,096 slots.  Wider stars pass the
+   budget and get the Recursive plan, bit for bit, with one first-level
+   vote.  Each such compile stays within 1 s (about 0.1 s cold on one
+   AMD EPYC vCPU); without the budget the 16-child star alone takes
+   about 4 s and the 63-child star (the widest query [Query.parse]
+   accepts) would not finish. *)
+let test_voting_budget_falls_back () =
+  let tree = wide_star_tree () in
+  let s = Summary.build ~k:3 tree in
+  let compile scheme twig = Estimator.Plan.compile s scheme twig in
+  List.iter
+    (fun n ->
+      let twig = star tree n in
+      let votes = Estimator.first_level_votes s twig in
+      Alcotest.(check int) (Printf.sprintf "%d-child star: one vote per leaf pair" n) (n * (n - 1) / 2)
+        (List.length votes);
+      Alcotest.(check bool) (Printf.sprintf "%d-child star: voting plan is larger" n) true
+        (Estimator.Plan.slot_count (compile Estimator.Recursive_voting twig)
+        > Estimator.Plan.slot_count (compile Estimator.Recursive twig)))
+    [ 8; 12 ];
+  List.iter
+    (fun n ->
+      let twig = star tree n in
+      let t0 = Tl_util.Mono_clock.now_ns () in
+      let voting = compile Estimator.Recursive_voting twig in
+      let ms = float_of_int (Tl_util.Mono_clock.now_ns () - t0) /. 1e6 in
+      let recursive = compile Estimator.Recursive twig in
+      let name what = Printf.sprintf "%d-child star: %s" n what in
+      Alcotest.(check bool) (name (Printf.sprintf "voting compile in %.0f ms < 1 s" ms)) true (ms < 1000.0);
+      Alcotest.(check int) (name "Recursive's slots") (Estimator.Plan.slot_count recursive)
+        (Estimator.Plan.slot_count voting);
+      Alcotest.(check int64) (name "Recursive's value, bit for bit")
+        (Int64.bits_of_float (Estimator.Plan.eval recursive))
+        (Int64.bits_of_float (Estimator.Plan.eval voting));
+      Alcotest.(check int) (name "one first-level vote") 1
+        (List.length (Estimator.first_level_votes s twig)))
+    [ 16; 63 ]
+
 (* --- feedback threading into votes and intervals ------------------------------------------ *)
 
 let test_votes_respect_extra () =
@@ -765,6 +822,8 @@ let () =
           Alcotest.test_case "interval contains adaptive estimate" `Quick
             test_interval_contains_extra_estimate;
           Alcotest.test_case "votes and interval golden" `Quick test_votes_interval_golden;
+          Alcotest.test_case "voting past its slot budget = recursive" `Quick
+            test_voting_budget_falls_back;
         ] );
       ( "differential",
         [

@@ -113,6 +113,19 @@ let test_plan_cache_eviction_bounded () =
   Alcotest.(check int) "bounded" 2 s.Plan_cache.size;
   Alcotest.(check int) "evictions recorded" 2 s.Plan_cache.evictions
 
+(* A hit marks its plan most recently used, so the next compile into a
+   full cache evicts the other plan: with capacity 2, looking up a, b, a,
+   c leaves a cached. *)
+let test_plan_cache_hit_keeps_plan () =
+  let tree = Helpers.tree_of Helpers.fig11_spec in
+  let cache = Plan_cache.create ~capacity:2 (Summary.build ~k:3 tree) in
+  let hit q =
+    snd (Plan_cache.plan_key_hit cache Estimator.Recursive (Twig.key (Helpers.twig_of_string tree q)))
+  in
+  Alcotest.(check (list bool))
+    "a, b, a hit, c compiled, a hit again" [ false; false; true; false; true ]
+    (List.map hit [ "a(b(c,d))"; "a(b(c),b(d))"; "a(b(c,d))"; "a(b,b,b,b)"; "a(b(c,d))" ])
+
 (* --- batch engine ------------------------------------------------------------ *)
 
 let fig11_queries = [ "a(b(c,d))"; "a(b(c),b(d))"; "a(b,b)"; "b(c,d)"; "a(b(c,d),b)" ]
@@ -216,6 +229,55 @@ let test_parallel_adaptive_feedback_stress () =
   Alcotest.(check int) "hits + misses = lookups" (Atomic.get lookups)
     (after.Tl_core.Adaptive.hits + after.Tl_core.Adaptive.misses
     - (before.Tl_core.Adaptive.hits + before.Tl_core.Adaptive.misses))
+
+(* The server's workers are system threads on one domain.  Four of them
+   batch on one engine whose cache holds 4 of the 12 distinct queries,
+   while the main thread runs pooled batches on it: every answer is
+   [Estimator.estimate]'s float, and the cache counts exactly one lookup
+   per distinct query of each batch. *)
+let test_threads_share_one_engine () =
+  let tree = Helpers.tree_of Helpers.fig11_spec in
+  let summary = Summary.build ~k:3 tree in
+  let engine = Engine.create ~plan_capacity:4 summary in
+  let distinct =
+    Array.of_list
+      (List.map (Helpers.twig_of_string tree)
+         (fig11_queries
+         @ [ "a(b,b,b,b)"; "a(b(c,c,d))"; "a(b(c,d,d))"; "a(b(d),b(c,c))"; "a(b,b,b)"; "b(c,c,d)"; "a(b(c))" ]))
+  in
+  let n = Array.length distinct in
+  let expected = Array.map (Estimator.estimate summary Tl_core.Treelattice.default_scheme) distinct in
+  let lookups = Atomic.make 0 and wrong = Atomic.make 0 in
+  let run ?pool seed =
+    (* [5 * i] visits every query mod 12, so a batch of [len] lines holds
+       [min len 12] distinct queries: some below the pool's cutoff, some
+       above. *)
+    let idx = Array.init (4 + (seed mod 21)) (fun i -> ((5 * i) + seed) mod n) in
+    let results = Engine.batch ?pool engine (Array.map (fun i -> distinct.(i)) idx) in
+    Array.iteri (fun j i -> if not (same_float expected.(i) results.(j)) then Atomic.incr wrong) idx;
+    ignore (Atomic.fetch_and_add lookups (min (Array.length idx) n))
+  in
+  let before = Engine.stats engine in
+  let threads =
+    List.init 4 (fun t ->
+        Thread.create
+          (fun () ->
+            for r = 1 to 200 do
+              run ((1000 * t) + r);
+              Thread.yield ()
+            done)
+          ())
+  in
+  Pool.with_pool ~domains:4 (fun pool ->
+      for r = 1 to 100 do
+        run ~pool r
+      done);
+  List.iter Thread.join threads;
+  Alcotest.(check int) "answers unlike Estimator.estimate" 0 (Atomic.get wrong);
+  let s = Engine.stats engine in
+  Alcotest.(check int) "hits + misses = distinct lookups" (Atomic.get lookups)
+    (s.Plan_cache.hits + s.Plan_cache.misses - (before.Plan_cache.hits + before.Plan_cache.misses));
+  Alcotest.(check bool) "size bounded" true (s.Plan_cache.size <= 4)
 
 (* The serving layer must never leak nan/infinity, whatever a feedback
    source injects: non-finite per-query results clamp to 0 and are counted
@@ -472,6 +534,7 @@ let () =
         [
           Alcotest.test_case "interning" `Quick test_plan_cache_interns;
           Alcotest.test_case "eviction bounded" `Quick test_plan_cache_eviction_bounded;
+          Alcotest.test_case "a hit keeps its plan" `Quick test_plan_cache_hit_keeps_plan;
         ] );
       ( "engine",
         [
@@ -480,6 +543,8 @@ let () =
           Alcotest.test_case "batch with feedback" `Quick test_batch_with_extra_matches_direct;
           Alcotest.test_case "parallel adaptive feedback stress" `Quick
             test_parallel_adaptive_feedback_stress;
+          Alcotest.test_case "threads on one domain share an engine" `Quick
+            test_threads_share_one_engine;
           Alcotest.test_case "non-finite clamped" `Quick test_batch_clamps_nonfinite;
           Alcotest.test_case "single estimate" `Quick test_engine_estimate_single;
         ] );

@@ -447,31 +447,6 @@ let prop_lru_matches_reference_model =
       && List.for_all (fun (k, v) -> Lru_int.peek c k = Some v) !model
       && Lru_int.validate c = Ok ())
 
-(* --- per-domain values ------------------------------------------------------ *)
-
-module Per_domain = Tl_util.Per_domain
-
-let test_per_domain_values () =
-  let made = Atomic.make 0 in
-  let pd = Per_domain.create (fun () -> ref (Atomic.fetch_and_add made 1)) in
-  let mine = Per_domain.get pd in
-  Alcotest.(check bool) "a domain gets its value back" true (Per_domain.get pd == mine);
-  let others =
-    List.map Domain.join
-      (List.init 3 (fun _ ->
-           Domain.spawn (fun () ->
-               let v = Per_domain.get pd in
-               (v, Per_domain.get pd == v))))
-  in
-  Alcotest.(check bool) "stable inside each domain" true (List.for_all snd others);
-  let values = mine :: List.map fst others in
-  Alcotest.(check int) "one value per domain" 4 (Atomic.get made);
-  Alcotest.(check (list int)) "values are distinct" [ 0; 1; 2; 3 ]
-    (List.sort compare (List.map ( ! ) values));
-  Alcotest.(check int) "all lists every value, finished domains included" 4
-    (List.length (Per_domain.all pd));
-  Alcotest.(check bool) "the caller's value is unchanged" true (Per_domain.get pd == mine)
-
 let () =
   Alcotest.run "util"
     [
@@ -537,5 +512,4 @@ let () =
           Alcotest.test_case "validate" `Quick test_lru_validate;
           prop_lru_matches_reference_model;
         ] );
-      ("domains", [ Alcotest.test_case "one value per domain" `Quick test_per_domain_values ]);
     ]
