@@ -2,6 +2,8 @@ module Twig = Tl_twig.Twig
 module Summary = Tl_lattice.Summary
 module Metrics = Tl_obs.Metrics
 
+let compiles = Metrics.counter ~help:"Estimation plans compiled" "plan.compiles"
+
 type scheme =
   | Recursive
   | Recursive_voting
@@ -330,7 +332,7 @@ module Plan = struct
   exception Over_budget
 
   let compile summary sch twig =
-    Metrics.incr "plan.compiles";
+    Metrics.incr compiles;
     let twig = Twig.canonicalize twig in
     let root_key = Twig.key twig in
     let complete = Summary.is_complete summary in
@@ -491,6 +493,16 @@ end
 (* The [estimator.*] counters tally each evaluated plan's resolved slots
    once, and the feedback source's answers, outside [Plan.eval]: serving
    from cached plans pays nothing for them. *)
+let lookups =
+  Metrics.counter ~help:"Estimate plan slots resolved (one per distinct sub-twig)" "estimator.lookups"
+let summary_hits =
+  Metrics.counter ~help:"Estimate plan slots resolved to a stored lattice count" "estimator.summary_hits"
+let true_zeros = Metrics.counter ~help:"Estimate plan slots resolved as true zeros" "estimator.true_zeros"
+let decompositions =
+  Metrics.counter ~help:"Estimate plan slots resolved by decomposition" "estimator.decompositions"
+let extra_hits =
+  Metrics.counter ~help:"Lookups the feedback source answered during estimates" "estimator.extra_hits"
+
 let count_slots (plan : Plan.t) =
   let stored = ref 0 and zeros = ref 0 and decomposed = ref 0 in
   Array.iter
@@ -500,11 +512,10 @@ let count_slots (plan : Plan.t) =
       | Zero -> incr zeros
       | Decompose _ -> incr decomposed)
     plan.slots;
-  let add name n = if n > 0 then Metrics.add name n in
-  add "estimator.lookups" (Array.length plan.slots);
-  add "estimator.summary_hits" !stored;
-  add "estimator.true_zeros" !zeros;
-  add "estimator.decompositions" !decomposed
+  Metrics.add lookups (Array.length plan.slots);
+  Metrics.add summary_hits !stored;
+  Metrics.add true_zeros !zeros;
+  Metrics.add decompositions !decomposed
 
 let eval_counted ?extra ?probe plan =
   count_slots plan;
@@ -513,7 +524,7 @@ let eval_counted ?extra ?probe plan =
     Option.map (fun f key -> match f key with Some _ as known -> incr hits; known | None -> None) extra
   in
   let v = Plan.eval ?extra ?probe plan in
-  if !hits > 0 then Metrics.add "estimator.extra_hits" !hits;
+  Metrics.add extra_hits !hits;
   v
 
 let estimate ?extra ?probe summary scheme twig =

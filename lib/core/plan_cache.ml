@@ -2,6 +2,11 @@ module Twig = Tl_twig.Twig
 module Summary = Tl_lattice.Summary
 module Metrics = Tl_obs.Metrics
 
+let lookup_hits = Metrics.counter ~help:"Plan lookups served without compiling" "plan_cache.hits"
+let lookup_misses = Metrics.counter ~help:"Plan lookups that compiled" "plan_cache.misses"
+let evictions =
+  Metrics.counter ~help:"Plans displaced from the shared plan cache" "plan_cache.evictions"
+
 (* Plans are keyed on (scheme, interned canonical id): two queries that
    canonicalize to the same twig share one compiled program per scheme. *)
 module K = struct
@@ -54,7 +59,7 @@ let add t scheme compiled =
       compiled;
     let displaced = (Lru.stats t.lru).evictions - before in
     Mutex.unlock t.mutex;
-    if displaced > 0 then Metrics.add "plan_cache.evictions" displaced
+    Metrics.add evictions displaced
   end
 
 let plan_key_hit t scheme key =
@@ -68,8 +73,8 @@ let plan_key_hit t scheme key =
 (* Lookups are published by the caller, so a batch pays two counter
    updates rather than one per distinct query. *)
 let count_lookups ~hits ~misses =
-  if hits > 0 then Metrics.add "plan_cache.hits" hits;
-  if misses > 0 then Metrics.add "plan_cache.misses" misses
+  Metrics.add lookup_hits hits;
+  Metrics.add lookup_misses misses
 
 type stats = Lru.stats = { size : int; capacity : int; hits : int; misses : int; evictions : int }
 

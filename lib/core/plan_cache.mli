@@ -42,8 +42,7 @@ val plan_key_hit : t -> Estimator.scheme -> Tl_twig.Twig.Key.t -> Estimator.Plan
     its lookups with {!count_lookups}. *)
 
 val count_lookups : hits:int -> misses:int -> unit
-(** Add to the [plan_cache.hits] and [plan_cache.misses] counters (a
-    counter with nothing to add is left untouched). *)
+(** Add to the [plan_cache.hits] and [plan_cache.misses] counters. *)
 
 type stats = {
   size : int;  (** plans interned *)

@@ -125,11 +125,14 @@ let figure_estimators env =
    memoize per call, not per structure), so a workload fans out across the
    pool's domains; [avg_ms] stays the per-query wall-clock share of the
    whole batch either way. *)
+let queries_evaluated =
+  Tl_obs.Metrics.counter ~help:"Workload queries evaluated by the harness" "workload.queries_evaluated"
+
 let eval_pairs ?pool wl ~estimate =
-  (* The counter is bumped inside the mapped function so parallel runs
-     exercise every pool domain's metric shard. *)
+  (* The counter is bumped inside the mapped function, on every pool
+     domain. *)
   let eval q =
-    Tl_obs.Metrics.incr "workload.queries_evaluated";
+    Tl_obs.Metrics.incr queries_evaluated;
     (q.Workload.truth, estimate q.Workload.twig)
   in
   Tl_obs.Span.with_ "exp.eval_pairs" @@ fun () ->
@@ -891,9 +894,11 @@ let all_experiments =
     ("joinopt", "Estimate-guided join ordering", joinopt);
   ]
 
+let runs = Tl_obs.Metrics.counter ~help:"Experiment drivers executed" "experiments.runs"
+
 let run_one id driver suite =
   Tl_obs.Span.with_ ("exp.run:" ^ id) @@ fun () ->
-  Tl_obs.Metrics.incr "experiments.runs";
+  Tl_obs.Metrics.incr runs;
   Tl_obs.Log.info (fun m -> m "running experiment %s" id);
   driver suite
 

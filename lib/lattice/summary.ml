@@ -32,13 +32,17 @@ let of_patterns ~k ~complete patterns =
 let of_mining (result : Tl_mining.Miner.result) =
   of_patterns ~k:result.max_size ~complete:true (Tl_mining.Miner.all result)
 
+let builds = Tl_obs.Metrics.counter ~help:"Lattice summaries constructed" "summary.builds"
+let entries_gauge =
+  Tl_obs.Metrics.gauge ~help:"Patterns stored in the most recent summary" "summary.entries"
+
 let build ?pool ?(k = 4) tree =
   if k < 2 then invalid_arg "Summary.build: k must be >= 2";
   Tl_obs.Span.with_ "summary.build" @@ fun () ->
   let ctx = Tl_twig.Match_count.create_ctx tree in
   let summary = of_mining (Tl_mining.Miner.mine ?pool ctx ~max_size:k) in
-  Tl_obs.Metrics.incr "summary.builds";
-  Tl_obs.Metrics.set_gauge "summary.entries" (Hashtbl.length summary.table);
+  Tl_obs.Metrics.incr builds;
+  Tl_obs.Metrics.set entries_gauge (Hashtbl.length summary.table);
   Tl_obs.Log.info (fun m -> m "summary built: k=%d, %d pattern(s)" k (Hashtbl.length summary.table));
   summary
 

@@ -61,6 +61,18 @@ let count_batch ?pool ctx ~visits ~keep_roots work =
       count work
   | _ -> Array.map (count ctx) work
 
+module Metrics = Tl_obs.Metrics
+
+let candidates_generated =
+  Metrics.counter ~help:"Candidate patterns generated by level-wise extension" "miner.candidates_generated"
+let candidates_counted =
+  Metrics.counter ~help:"Candidate patterns whose support was counted" "miner.candidates_counted"
+let roots_visited =
+  Metrics.counter ~help:"Data nodes at which candidate patterns were counted" "miner.roots_visited"
+let patterns_kept = Metrics.counter ~help:"Patterns kept across all mined levels" "miner.patterns_kept"
+let level_patterns =
+  Metrics.histogram ~help:"Patterns kept per mined lattice level" "miner.level_patterns"
+
 let mine ?pool ctx ~max_size =
   if max_size < 1 then invalid_arg "Miner.mine: max_size must be >= 1";
   Tl_obs.Span.with_ "miner.mine" @@ fun () ->
@@ -120,9 +132,9 @@ let mine ?pool ctx ~max_size =
           |> Array.of_list
         in
         let visits = Array.fold_left (fun acc (_, roots) -> acc + Array.length roots) 0 work in
-        Tl_obs.Metrics.add "miner.candidates_generated" (Hashtbl.length candidates);
-        Tl_obs.Metrics.add "miner.candidates_counted" (Array.length work);
-        Tl_obs.Metrics.add "miner.roots_visited" visits;
+        Metrics.add candidates_generated (Hashtbl.length candidates);
+        Metrics.add candidates_counted (Array.length work);
+        Metrics.add roots_visited visits;
         let next = Hashtbl.create 256 in
         let counted =
           Array.fold_left
@@ -135,8 +147,8 @@ let mine ?pool ctx ~max_size =
             []
             (count_batch ?pool ctx ~visits ~keep_roots work)
         in
-        Tl_obs.Metrics.add "miner.patterns_kept" (List.length counted);
-        Tl_obs.Metrics.observe "miner.level_patterns" (List.length counted);
+        Metrics.add patterns_kept (List.length counted);
+        Metrics.observe level_patterns (List.length counted);
         levels.(s) <- List.sort (fun (a, _) (b, _) -> Twig.compare a b) counted;
         next
       in

@@ -7,10 +7,9 @@
    connection, and a slow or silent client is bounded by a receive
    timeout so it can stall at most one scrape, never the process.
 
-   The threading stays confined to this module: nothing else in the
-   library starts threads, and the serving hot paths never synchronize
-   with the endpoint — a scrape reads the same deterministic
-   [Metrics.snapshot] merge every offline consumer reads. *)
+   A scrape reads the same [Metrics.snapshot] every offline consumer
+   reads; a recording thread waits on it at most while it copies one
+   histogram. *)
 
 type response = { status : int; content_type : string; body : string }
 
@@ -33,6 +32,10 @@ let reason = function
   | 500 -> "Internal Server Error"
   | 503 -> "Service Unavailable"
   | _ -> "Status"
+
+let requests = Metrics.counter ~help:"HTTP requests read by the exposition endpoint" "exporter.requests"
+let errors = Metrics.counter ~help:"Exposition routes that raised" "exporter.errors"
+let port_gauge = Metrics.gauge ~help:"Port of the exposition endpoint" "exporter.port"
 
 let default_metrics () = text (Metrics.to_prometheus (Metrics.snapshot ()))
 
@@ -93,7 +96,7 @@ let handle t fd =
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.timeout;
   Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.timeout;
   let line = read_request_line fd in
-  Metrics.incr "exporter.requests";
+  Metrics.incr requests;
   let resp =
     match String.split_on_char ' ' line with
     | meth :: target :: _ when String.uppercase_ascii meth = "GET" ->
@@ -106,7 +109,7 @@ let handle t fd =
       | Some f -> (
         try f ()
         with e ->
-          Metrics.incr "exporter.errors";
+          Metrics.incr errors;
           { status = 500; content_type = "text/plain"; body = Printexc.to_string e ^ "\n" })
       | None -> { status = 404; content_type = "text/plain"; body = "not found\n" })
     | _ -> { status = 400; content_type = "text/plain"; body = "bad request\n" }
@@ -159,7 +162,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(timeout = 5.0) ?(routes = []) () =
     { sock; host; port; timeout = Float.max 0.01 timeout; routes; stopping = Atomic.make false; thread = None }
   in
   t.thread <- Some (Thread.create serve_loop t);
-  Metrics.set_gauge "exporter.port" port;
+  Metrics.set port_gauge port;
   Log.info (fun m -> m "exporter listening on http://%s:%d" host port);
   t
 

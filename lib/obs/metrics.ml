@@ -1,22 +1,17 @@
-(* Domain-sharded metric cells.
+(* Metric handles behind one registry.
 
-   Every domain that touches a metric gets its own shard (held in
-   domain-local storage), so the hot-path operations — counter adds,
-   gauge sets, histogram observations — never synchronize and never
-   race, even from inside a [Tl_util.Pool] map.  Shards are registered
-   in a global list the first time a domain touches any metric; a
-   shard outlives its domain, so counts from pool workers survive
-   [Pool.shutdown] and are still visible to [snapshot].
-
-   Merging is deterministic by construction: counters and histogram
-   cells are integers combined with addition (commutative and
-   associative, so shard order is irrelevant), gauges merge with [max],
-   and every snapshot lists names in sorted order.  That is what makes
-   the parallel-vs-sequential identity property testable bit-for-bit. *)
+   Registration is the only operation that touches the registry's
+   tables, and it happens under [lock]; recording goes straight to the
+   handle's cell: an [Atomic] for counters and gauges, a record behind
+   its own mutex for histograms.  So any thread on any domain may record,
+   and [snapshot] may walk the series (under [lock], taking each
+   histogram's mutex in turn) while they do.  Lock order is registry
+   before histogram; recording never takes the registry lock. *)
 
 let bucket_count = 62
 
-type hist = {
+type histogram = {
+  hlock : Mutex.t;
   mutable observations : int;
   mutable sum : int;
   mutable vmin : int;
@@ -24,43 +19,78 @@ type hist = {
   buckets : int array;
 }
 
-type shard = {
-  counters : (string, int ref) Hashtbl.t;
-  gauges : (string, int ref) Hashtbl.t;
-  hists : (string, hist) Hashtbl.t;
-}
+type labels = (string * string) list
 
-let registry_mutex = Mutex.create ()
+type counter = int Atomic.t
 
-let shards : shard list ref = ref []
+type gauge = int Atomic.t
 
-let shard_key =
-  Domain.DLS.new_key (fun () ->
-      let s =
-        { counters = Hashtbl.create 16; gauges = Hashtbl.create 8; hists = Hashtbl.create 8 }
-      in
-      Mutex.lock registry_mutex;
-      shards := s :: !shards;
-      Mutex.unlock registry_mutex;
-      s)
+type cell = Counter of counter | Gauge of gauge | Histogram of histogram
 
-let my_shard () = Domain.DLS.get shard_key
+type series = { name : string; id : string; cell : cell }
+
+let lock = Mutex.create ()
+
+(* Name -> (kind, help), and series id -> series; both guarded by [lock]. *)
+let families : (string, string * string) Hashtbl.t = Hashtbl.create 64
+
+let table : (string, series) Hashtbl.t = Hashtbl.create 64
+
+(* Prometheus label-value escaping. *)
+let escape v =
+  let buf = Buffer.create (String.length v) in
+  String.iter
+    (function
+      | ('\\' | '"') as c -> Buffer.add_char buf '\\'; Buffer.add_char buf c
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c -> Buffer.add_char buf c)
+    v;
+  Buffer.contents buf
+
+let series_id name = function
+  | [] -> name
+  | labels ->
+    let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
+    Printf.sprintf "%s{%s}" name
+      (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape v)) labels))
+
+(* [get] cannot fail: the family's kind was checked first. *)
+let register kind fresh get ?(labels = []) ~help name =
+  let id = series_id name labels in
+  Mutex.protect lock (fun () ->
+      (match Hashtbl.find_opt families name with
+      | Some (k, _) when k <> kind ->
+        invalid_arg (Printf.sprintf "Metrics: %s is a %s, not a %s" name k kind)
+      | Some _ -> ()
+      | None -> Hashtbl.replace families name (kind, help));
+      match Hashtbl.find_opt table id with
+      | Some s -> get s.cell
+      | None ->
+        let cell = fresh () in
+        Hashtbl.replace table id { name; id; cell };
+        get cell)
+
+let counter =
+  register "counter" (fun () -> Counter (Atomic.make 0)) (function Counter c -> c | _ -> assert false)
+
+let gauge =
+  register "gauge" (fun () -> Gauge (Atomic.make 0)) (function Gauge g -> g | _ -> assert false)
+
+let histogram =
+  register "histogram"
+    (fun () ->
+      let buckets = Array.make bucket_count 0 in
+      Histogram
+        { hlock = Mutex.create (); observations = 0; sum = 0; vmin = max_int; vmax = min_int; buckets })
+    (function Histogram h -> h | _ -> assert false)
 
 (* --- recording ---------------------------------------------------------- *)
 
-let add name by =
-  let s = my_shard () in
-  match Hashtbl.find_opt s.counters name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.replace s.counters name (ref by)
+let add c by = ignore (Atomic.fetch_and_add c by)
 
-let incr name = add name 1
+let incr c = add c 1
 
-let set_gauge name v =
-  let s = my_shard () in
-  match Hashtbl.find_opt s.gauges name with
-  | Some r -> r := v
-  | None -> Hashtbl.replace s.gauges name (ref v)
+let set g v = Atomic.set g v
 
 (* Bucket 0 holds values <= 1; bucket i >= 1 holds [2^i, 2^(i+1)). *)
 let bucket_of v =
@@ -77,24 +107,14 @@ let bucket_of v =
 
 let bucket_floor i = if i = 0 then 0 else 1 lsl i
 
-let observe name v =
-  let s = my_shard () in
-  let h =
-    match Hashtbl.find_opt s.hists name with
-    | Some h -> h
-    | None ->
-      let h =
-        { observations = 0; sum = 0; vmin = max_int; vmax = min_int; buckets = Array.make bucket_count 0 }
-      in
-      Hashtbl.replace s.hists name h;
-      h
-  in
-  h.observations <- h.observations + 1;
-  h.sum <- h.sum + v;
-  if v < h.vmin then h.vmin <- v;
-  if v > h.vmax then h.vmax <- v;
+let observe h v =
   let b = bucket_of v in
-  h.buckets.(b) <- h.buckets.(b) + 1
+  Mutex.protect h.hlock (fun () ->
+      h.observations <- h.observations + 1;
+      h.sum <- h.sum + v;
+      if v < h.vmin then h.vmin <- v;
+      if v > h.vmax then h.vmax <- v;
+      h.buckets.(b) <- h.buckets.(b) + 1)
 
 (* --- snapshots ---------------------------------------------------------- *)
 
@@ -110,149 +130,66 @@ type snapshot = {
   counters : (string * int) list;
   gauges : (string * int) list;
   histograms : (string * hist_snapshot) list;
+  help : (string * string) list;
 }
 
-let all_shards () =
-  Mutex.lock registry_mutex;
-  let s = !shards in
-  Mutex.unlock registry_mutex;
-  s
-
-let sorted_bindings merge tables =
-  let acc = Hashtbl.create 32 in
-  List.iter
-    (fun table ->
-      Hashtbl.iter
-        (fun name v ->
-          match Hashtbl.find_opt acc name with
-          | Some prev -> Hashtbl.replace acc name (merge prev v)
-          | None -> Hashtbl.replace acc name v)
-        table)
-    tables;
-  List.sort
-    (fun (a, _) (b, _) -> String.compare a b)
-    (Hashtbl.fold (fun name v xs -> (name, v) :: xs) acc [])
-
-let merge_hist a b =
-  {
-    observations = a.observations + b.observations;
-    sum = a.sum + b.sum;
-    vmin = min a.vmin b.vmin;
-    vmax = max a.vmax b.vmax;
-    buckets = Array.init bucket_count (fun i -> a.buckets.(i) + b.buckets.(i));
-  }
-
-let copy_hist h = { h with buckets = Array.copy h.buckets }
+let read_hist h =
+  Mutex.protect h.hlock (fun () ->
+      let buckets = ref [] in
+      for i = bucket_count - 1 downto 0 do
+        if h.buckets.(i) > 0 then buckets := (bucket_floor i, h.buckets.(i)) :: !buckets
+      done;
+      {
+        h_observations = h.observations;
+        h_sum = h.sum;
+        h_min = (if h.observations = 0 then 0 else h.vmin);
+        h_max = (if h.observations = 0 then 0 else h.vmax);
+        h_buckets = !buckets;
+      })
 
 let snapshot () =
-  let shards : shard list = all_shards () in
-  let counters =
-    sorted_bindings (fun a b -> ref (!a + !b)) (List.map (fun (s : shard) -> s.counters) shards)
+  let series, help =
+    Mutex.protect lock (fun () ->
+        ( Hashtbl.fold
+            (fun _ s acc ->
+              let v =
+                match s.cell with
+                | Counter c -> `Count (Atomic.get c)
+                | Gauge g -> `Level (Atomic.get g)
+                | Histogram h -> `Dist (read_hist h)
+              in
+              ((s.name, s.id), v) :: acc)
+            table [],
+          Hashtbl.fold (fun name (_, help) acc -> (name, help) :: acc) families [] ))
   in
-  let gauges =
-    sorted_bindings (fun a b -> ref (max !a !b)) (List.map (fun (s : shard) -> s.gauges) shards)
-  in
-  let hists =
-    (* Copy before merging so shard cells are never aliased by the result. *)
-    let copies =
-      List.map
-        (fun s ->
-          let t = Hashtbl.create (Hashtbl.length s.hists) in
-          Hashtbl.iter (fun name h -> Hashtbl.replace t name (copy_hist h)) s.hists;
-          t)
-        shards
-    in
-    sorted_bindings merge_hist copies
-  in
+  let series = List.sort (fun (a, _) (b, _) -> compare a b) series in
+  let pick f = List.filter_map (fun ((_, id), v) -> Option.map (fun x -> (id, x)) (f v)) series in
   {
-    counters = List.map (fun (n, r) -> (n, !r)) counters;
-    gauges = List.map (fun (n, r) -> (n, !r)) gauges;
-    histograms =
-      List.map
-        (fun (n, h) ->
-          let buckets = ref [] in
-          for i = bucket_count - 1 downto 0 do
-            if h.buckets.(i) > 0 then buckets := (bucket_floor i, h.buckets.(i)) :: !buckets
-          done;
-          ( n,
-            {
-              h_observations = h.observations;
-              h_sum = h.sum;
-              h_min = (if h.observations = 0 then 0 else h.vmin);
-              h_max = (if h.observations = 0 then 0 else h.vmax);
-              h_buckets = !buckets;
-            } ))
-        hists;
+    counters = pick (function `Count n -> Some n | _ -> None);
+    gauges = pick (function `Level n -> Some n | _ -> None);
+    histograms = pick (function `Dist h -> Some h | _ -> None);
+    help = List.sort compare help;
   }
 
-let equal_snapshot (a : snapshot) (b : snapshot) = a = b
-
 let reset () =
-  List.iter
-    (fun (s : shard) ->
-      Hashtbl.reset s.counters;
-      Hashtbl.reset s.gauges;
-      Hashtbl.reset s.hists)
-    (all_shards ())
+  Mutex.protect lock (fun () ->
+      Hashtbl.iter
+        (fun _ s ->
+          match s.cell with
+          | Counter c | Gauge c -> Atomic.set c 0
+          | Histogram h ->
+            Mutex.protect h.hlock (fun () ->
+                h.observations <- 0;
+                h.sum <- 0;
+                h.vmin <- max_int;
+                h.vmax <- min_int;
+                Array.fill h.buckets 0 bucket_count 0))
+        table)
 
 (* --- rendering ---------------------------------------------------------- *)
 
 let sanitize name =
   String.map (fun c -> match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> c | _ -> '_') name
-
-(* Help strings for the # HELP exposition lines.  Subsystems register
-   their metrics with [describe]; the built-in table covers the
-   long-standing names so a default snapshot is fully annotated. *)
-let help_mutex = Mutex.create ()
-
-let help_table : (string, string) Hashtbl.t = Hashtbl.create 64
-
-let describe name help =
-  Mutex.lock help_mutex;
-  Hashtbl.replace help_table name help;
-  Mutex.unlock help_mutex
-
-let builtin_help =
-  [
-    ("estimates.nonfinite", "Non-finite serving estimates clamped to 0");
-    (* The estimator.* counters are tallied once per Estimator.estimate
-       call (and per plan behind estimate_interval / first_level_votes)
-       from the compiled plan's slots; served plan evaluations do not
-       touch them. *)
-    ("estimator.decompositions", "Estimate plan slots resolved by decomposition");
-    ("estimator.extra_hits", "Lookups the feedback source answered during estimates");
-    ("estimator.lookups", "Estimate plan slots resolved (one per distinct sub-twig)");
-    ("estimator.summary_hits", "Estimate plan slots resolved to a stored lattice count");
-    ("estimator.true_zeros", "Estimate plan slots resolved as true zeros");
-    ("experiments.runs", "Experiment drivers executed");
-    ("match_count.calls", "Exact twig-count evaluations");
-    ("match_count.selectivity", "Distribution of exact twig counts");
-    ("miner.candidates_counted", "Candidate patterns whose support was counted");
-    ("miner.candidates_generated", "Candidate patterns generated by level-wise extension");
-    ("miner.level_patterns", "Patterns kept per mined lattice level");
-    ("miner.patterns_kept", "Patterns kept across all mined levels");
-    ("miner.roots_visited", "Data nodes at which candidate patterns were counted");
-    ("plan.compiles", "Estimation plans compiled");
-    ("plan_cache.evictions", "Plans displaced from the shared plan cache");
-    ("plan_cache.hits", "Plan lookups served without compiling");
-    ("plan_cache.misses", "Plan lookups that compiled");
-    ("summary.builds", "Lattice summaries constructed");
-    ("summary.entries", "Patterns stored in the most recent summary");
-    ("workload.queries_evaluated", "Workload queries evaluated by the harness");
-    ("xml.documents_parsed", "XML documents parsed");
-    ("xml.input_bytes", "Distribution of parsed XML document sizes");
-  ]
-
-let help_for name =
-  Mutex.lock help_mutex;
-  let registered = Hashtbl.find_opt help_table name in
-  Mutex.unlock help_mutex;
-  match registered with
-  | Some h -> h
-  | None -> (
-    match List.assoc_opt name builtin_help with
-    | Some h -> h
-    | None -> "TreeLattice metric " ^ name)
 
 (* One renderer for every exposition surface: the bench/CLI file writers
    and the live {!Exporter} endpoint all call this, so their outputs can
@@ -260,80 +197,45 @@ let help_for name =
 let to_prometheus snap =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-  let header name kind =
-    let p = "tl_" ^ sanitize name in
-    line "# HELP %s %s" p (help_for name);
-    line "# TYPE %s %s" p kind;
-    p
+  (* Each series as its prefixed name and the labels inside its braces. *)
+  let family kind render series =
+    let last = ref "" in
+    List.iter
+      (fun (id, v) ->
+        let name, inner =
+          match String.index_opt id '{' with
+          | None -> (id, "")
+          | Some i -> (String.sub id 0 i, String.sub id (i + 1) (String.length id - i - 2))
+        in
+        let p = "tl_" ^ sanitize name in
+        if name <> !last then begin
+          last := name;
+          line "# HELP %s %s" p (Option.value (List.assoc_opt name snap.help) ~default:name);
+          line "# TYPE %s %s" p kind
+        end;
+        render p inner v)
+      series
   in
-  List.iter
-    (fun (name, v) ->
-      let p = header name "counter" in
-      line "%s %d" p v)
-    snap.counters;
-  List.iter
-    (fun (name, v) ->
-      let p = header name "gauge" in
-      line "%s %d" p v)
-    snap.gauges;
-  List.iter
-    (fun (name, h) ->
-      let p = header name "histogram" in
+  let braces inner = if inner = "" then "" else "{" ^ inner ^ "}" in
+  let scalar p inner v = line "%s%s %d" p (braces inner) v in
+  family "counter" scalar snap.counters;
+  family "gauge" scalar snap.gauges;
+  family "histogram"
+    (fun p inner h ->
+      let le bound = Printf.sprintf "{%sle=\"%s\"}" (if inner = "" then "" else inner ^ ",") bound in
       (* Full cumulative series: every bucket boundary from 0 up to the
-         last non-empty bucket, empty buckets included, then +Inf. *)
-      let last_floor = List.fold_left (fun _ (floor, _) -> floor) 0 h.h_buckets in
+         last non-empty bucket, empty buckets included, then +Inf.  The
+         bucket holding floor f covers values < 2f (or <= 1 for f = 0). *)
+      let last = List.fold_left (fun _ (floor, _) -> bucket_of floor) 0 h.h_buckets in
       let cumulative = ref 0 in
-      let remaining = ref h.h_buckets in
-      let i = ref 0 in
-      let continue = ref (h.h_observations > 0) in
-      while !continue do
-        let floor = bucket_floor !i in
-        (match !remaining with
-        | (f, count) :: rest when f = floor ->
-          cumulative := !cumulative + count;
-          remaining := rest
-        | _ -> ());
-        (* The bucket holding floor f covers values < 2f (or <= 1 for f = 0). *)
-        let le = if floor = 0 then 1 else (2 * floor) - 1 in
-        line "%s_bucket{le=\"%d\"} %d" p le !cumulative;
-        if floor >= last_floor || !i >= bucket_count - 1 then continue := false else Stdlib.incr i
-      done;
-      line "%s_bucket{le=\"+Inf\"} %d" p h.h_observations;
-      line "%s_sum %d" p h.h_sum;
-      line "%s_count %d" p h.h_observations)
+      if h.h_observations > 0 then
+        for i = 0 to last do
+          let floor = bucket_floor i in
+          cumulative := !cumulative + Option.value (List.assoc_opt floor h.h_buckets) ~default:0;
+          line "%s_bucket%s %d" p (le (string_of_int (max 1 ((2 * floor) - 1)))) !cumulative
+        done;
+      line "%s_bucket%s %d" p (le "+Inf") h.h_observations;
+      line "%s_sum%s %d" p (braces inner) h.h_sum;
+      line "%s_count%s %d" p (braces inner) h.h_observations)
     snap.histograms;
-  Buffer.contents buf
-
-let pp_table snap =
-  let buf = Buffer.create 1024 in
-  if snap.counters <> [] then begin
-    Buffer.add_string buf "counters:\n";
-    Buffer.add_string buf
-      (Tl_util.Table.render ~header:[ "counter"; "value" ]
-         (List.map (fun (n, v) -> [ n; string_of_int v ]) snap.counters))
-  end;
-  if snap.gauges <> [] then begin
-    Buffer.add_string buf "gauges:\n";
-    Buffer.add_string buf
-      (Tl_util.Table.render ~header:[ "gauge"; "value" ]
-         (List.map (fun (n, v) -> [ n; string_of_int v ]) snap.gauges))
-  end;
-  if snap.histograms <> [] then begin
-    Buffer.add_string buf "histograms (log-scale buckets):\n";
-    Buffer.add_string buf
-      (Tl_util.Table.render
-         ~header:[ "histogram"; "count"; "sum"; "mean"; "min"; "max" ]
-         (List.map
-            (fun (n, h) ->
-              [
-                n;
-                string_of_int h.h_observations;
-                string_of_int h.h_sum;
-                (if h.h_observations = 0 then "-"
-                 else Printf.sprintf "%.1f" (float_of_int h.h_sum /. float_of_int h.h_observations));
-                string_of_int h.h_min;
-                string_of_int h.h_max;
-              ])
-            snap.histograms))
-  end;
   Buffer.contents buf

@@ -1,32 +1,48 @@
-(** Domain-sharded metrics: counters, gauges, log-scale histograms.
+(** Metrics: counters, gauges and log-scale histograms, held as handles.
 
-    Each domain records into a private shard held in domain-local
-    storage, so instrumentation inside {!Tl_util.Pool} maps is race-free
-    and costs one hash lookup plus an integer update — no atomics, no
-    locks on the hot path.  Shards survive their domain, so worker
-    counts remain visible after [Pool.shutdown].
+    A series is registered once, with its name, its help text and
+    optional labels, and the registration returns a handle.  Registering
+    the same name and labels again returns the same cell, so a caller may
+    register where it first needs a series (module initialisation, a
+    bundle build) without coordinating with anyone.  One name is one
+    family: every series under it has the same kind and the help text of
+    its first registration.  A registered series exists at 0, so a scrape
+    taken before the first event already shows it.
 
-    {!snapshot} merges all shards {e deterministically}: counter and
-    histogram cells are integers combined by addition (order-invariant),
-    gauges merge with [max], and names come back sorted.  A parallel run
-    that performs the same per-element work as a sequential run
-    therefore yields a bit-identical snapshot — the property
-    [test/test_obs.ml] checks.
+    Counters and gauges are single [Atomic] cells and a histogram is its
+    cells behind its own mutex, so any thread on any domain may record
+    into any handle, and recording hashes no string.  {!snapshot} walks
+    the registered series under the registry lock, so it may run while
+    other threads record.  Counter and histogram updates are sums, so the
+    same work run sequentially or across a {!Tl_util.Pool} reaches the
+    same snapshot — the property [test/test_obs.ml] checks. *)
 
-    {!snapshot} and {!reset} must not race with in-flight instrumented
-    parallel work; call them between pool maps (their natural place —
-    end of a build, a level, a run). *)
+type labels = (string * string) list
+(** Label pairs, as in [[ ("dataset", "main") ]], in any order. *)
 
-val incr : string -> unit
-(** Add 1 to a counter (created on first touch). *)
+type counter
 
-val add : string -> int -> unit
-(** Add [by] to a counter. *)
+type gauge
 
-val set_gauge : string -> int -> unit
-(** Set a gauge on this domain's shard; shards merge with [max]. *)
+type histogram
 
-val observe : string -> int -> unit
+val counter : ?labels:labels -> help:string -> string -> counter
+(** [counter ~help name] registers (or finds) the counter series [name]
+    with [labels] (default none).  Raises [Invalid_argument] if [name]
+    is already registered as another kind; so do {!gauge} and
+    {!histogram}. *)
+
+val gauge : ?labels:labels -> help:string -> string -> gauge
+
+val histogram : ?labels:labels -> help:string -> string -> histogram
+
+val incr : counter -> unit
+
+val add : counter -> int -> unit
+
+val set : gauge -> int -> unit
+
+val observe : histogram -> int -> unit
 (** Record a value into a log-scale histogram: bucket 0 holds values
     [<= 1], bucket [i >= 1] holds [[2{^i}, 2{^i+1})]. *)
 
@@ -43,32 +59,25 @@ type snapshot = {
   counters : (string * int) list;
   gauges : (string * int) list;
   histograms : (string * hist_snapshot) list;
+  help : (string * string) list;  (** help text by series name *)
 }
-(** A merged, name-sorted view of every shard.  Plain data: structural
-    equality is meaningful (see {!equal_snapshot}). *)
+(** Every registered series, keyed by its name, or for a labelled series
+    by [name{key="value",...}] (for instance
+    [serve.queries{dataset="main"}]), sorted by name and then labels.
+    Plain data: structural equality is meaningful. *)
 
 val snapshot : unit -> snapshot
 
-val equal_snapshot : snapshot -> snapshot -> bool
-
 val reset : unit -> unit
-(** Clear every shard (including those of exited domains). *)
-
-val describe : string -> string -> unit
-(** [describe name help] registers the [# HELP] text emitted for metric
-    [name] by {!to_prometheus}.  Metrics without a registered or built-in
-    description fall back to a generated line. *)
+(** Set every registered series back to 0; handles stay valid. *)
 
 val to_prometheus : snapshot -> string
-(** Prometheus-style text exposition: [tl_]-prefixed sanitized names,
-    [# HELP] + [# TYPE] comments, and for each histogram the full
-    cumulative [_bucket{le="..."}] series (empty buckets included up to
-    the last populated one, then [+Inf]) plus [_sum] / [_count].  This is
-    the single renderer shared by the bench/CLI file writers and the
-    {!Exporter} endpoint. *)
-
-val pp_table : snapshot -> string
-(** Human-readable tables (via {!Tl_util.Table}). *)
+(** Prometheus text exposition: [tl_]-prefixed sanitized names, one
+    [# HELP] + [# TYPE] pair per name, labels as written, and for each
+    histogram the full cumulative [_bucket{le="..."}] series (empty
+    buckets included up to the last populated one, then [+Inf]) plus
+    [_sum] / [_count].  The one renderer of the bench/CLI file writers
+    and the {!Exporter} endpoint. *)
 
 (**/**)
 

@@ -1,10 +1,10 @@
 (* Nested monotonic-clock spans.
 
-   Same sharding discipline as Metrics: every domain keeps its own open
-   stack and finished buffer in domain-local storage, registered once in
-   a global list so [finished]/[dump_jsonl]/[flame] can merge them.
-   Spans are disabled by default; when disabled, [with_] is a single
-   atomic load on top of the wrapped call. *)
+   Every domain keeps its own open stack and finished buffer in
+   domain-local storage, registered once in a global list so
+   [finished]/[dump_jsonl]/[flame] can merge them.  Spans are disabled
+   by default; when disabled, [with_] is a single atomic load on top of
+   the wrapped call. *)
 
 type span = {
   name : string;

@@ -3,7 +3,9 @@
     A span is opened and closed around a region of work with {!with_};
     nesting is tracked per domain (each domain has its own stack, so
     spans opened inside a {!Tl_util.Pool} map nest under nothing and
-    never race).  Spans are {e disabled by default} — when disabled,
+    never race).  The stack is per domain, not per thread, so spans are
+    opened only by a domain's main thread: the server's worker threads
+    and the exporter's open none.  Spans are {e disabled by default} — when disabled,
     {!with_} costs one atomic load — and are enabled by the [--trace]
     CLI/bench flags or {!set_enabled}.
 

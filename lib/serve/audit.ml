@@ -46,9 +46,9 @@ type t = {
   ring : record array;  (* slot [seq mod capacity]; [dummy] until written *)
 }
 
-let () =
-  Metrics.describe "audit.records" "Per-query audit records admitted";
-  Metrics.describe "serve.latency_ns" "Distribution of per-query serving latencies (ns)"
+let records = Metrics.counter ~help:"Per-query audit records admitted" "audit.records"
+let latency =
+  Metrics.histogram ~help:"Distribution of per-query serving latencies (ns)" "serve.latency_ns"
 
 let create ?(capacity = 4096) () =
   if capacity < 1 then invalid_arg "Audit.create: capacity must be >= 1";
@@ -60,9 +60,9 @@ let record t ~key_id ~scheme ~estimate ~latency_ns ~plan_hit ~feedback_hit ~clam
   let seq = Atomic.fetch_and_add t.seq 1 in
   t.ring.(seq mod Array.length t.ring) <-
     { seq; key_id; scheme; estimate; latency_ns; plan_hit; feedback_hit; clamped; rel_error };
-  Metrics.observe "serve.latency_ns" latency_ns
+  Metrics.observe latency latency_ns
 
-let count_records n = if n > 0 then Metrics.add "audit.records" n
+let count_records n = Metrics.add records n
 
 let total t = Atomic.get t.seq
 

@@ -4,6 +4,9 @@ module Plan_cache = Tl_core.Plan_cache
 module Pool = Tl_util.Pool
 module Metrics = Tl_obs.Metrics
 
+let nonfinite =
+  Metrics.counter ~help:"Non-finite serving estimates clamped to 0" "estimates.nonfinite"
+
 type t = { scheme : Estimator.scheme; summary : Tl_lattice.Summary.t; cache : Plan_cache.t }
 
 let create ?(scheme = Tl_core.Treelattice.default_scheme) ?plan_capacity summary =
@@ -44,8 +47,8 @@ let eval_parallel_cutoff = 8
    (or a huge count that overflows a product).  The serving layer is the
    boundary clients trust, so it clamps instead of leaking: non-finite
    results become 0.0 and are counted under [estimates.nonfinite]
-   (Prometheus [tl_estimates_nonfinite]).  Metrics shards are per-domain,
-   so clamping inside a pooled batch is race-free.
+   (Prometheus [tl_estimates_nonfinite]), an atomic counter, so clamping
+   inside a pooled batch is race-free.
 
    Only with an audit log is the clock read and a record left, so the
    <= 5% overhead budget is spent only when someone is listening.
@@ -66,7 +69,7 @@ let eval ~scheme ?pool ?extra ?audit ?(exacts = [||]) t keys =
     let clamped = not (Float.is_finite raw) in
     let v =
       if clamped then begin
-        Metrics.incr "estimates.nonfinite";
+        Metrics.incr nonfinite;
         0.0
       end
       else raw

@@ -22,7 +22,39 @@ module Twig = Tl_twig.Twig
 module Metrics = Tl_obs.Metrics
 module Log = Tl_obs.Log
 
+(* The monitor's series, labelled with its dataset. *)
+type series = {
+  sampled : Metrics.counter;
+  rel_errors : Metrics.histogram;
+  raised : Metrics.counter;
+  alarm_gauge : Metrics.gauge;
+  samples_gauge : Metrics.gauge;
+  quantiles : (float * Metrics.gauge) list;  (* window p50, p90 and p99 (ppm) *)
+}
+
+let series dataset =
+  let labels = [ ("dataset", dataset) ] in
+  let counter = Metrics.counter ~labels and gauge = Metrics.gauge ~labels in
+  let quantile p =
+    ( float_of_int p /. 100.0,
+      gauge
+        ~help:(Printf.sprintf "Sliding-window p%d relative error (ppm)" p)
+        (Printf.sprintf "drift.rel_error_p%d_ppm" p) )
+  in
+  {
+    sampled = counter ~help:"Served queries replayed against the exact oracle" "drift.sampled";
+    rel_errors =
+      Metrics.histogram ~labels ~help:"Distribution of sampled relative errors (parts per million)"
+        "drift.rel_error_ppm";
+    raised = counter ~help:"Times the drift alarm has been raised" "drift.alarm_transitions";
+    alarm_gauge = gauge ~help:"1 while the drift alarm is raised" "drift.alarm";
+    samples_gauge =
+      gauge ~help:"Sampled queries currently informing the drift window" "drift.samples";
+    quantiles = List.map quantile [ 50; 90; 99 ];
+  }
+
 type t = {
+  series : series;
   sample_rate : float;
   threshold : float;
   min_samples : int;
@@ -37,30 +69,19 @@ type t = {
   mutable alarm_transitions : int;
 }
 
-let () =
-  Metrics.describe "drift.sampled" "Served queries replayed against the exact oracle";
-  Metrics.describe "drift.rel_error_ppm" "Distribution of sampled relative errors (parts per million)";
-  Metrics.describe "drift.alarm" "1 while the drift alarm is raised";
-  Metrics.describe "drift.alarm_transitions" "Times the drift alarm has been raised";
-  Metrics.describe "drift.samples" "Sampled queries currently informing the drift window";
-  Metrics.describe "drift.rel_error_p50_ppm" "Sliding-window p50 relative error (ppm)";
-  Metrics.describe "drift.rel_error_p90_ppm" "Sliding-window p90 relative error (ppm)";
-  Metrics.describe "drift.rel_error_p99_ppm" "Sliding-window p99 relative error (ppm)"
-
 let create ?(sample_rate = 0.01) ?(window = 512) ?(threshold = 1.0) ?(min_samples = 16)
-    ?(seed = 42) ~oracle () =
+    ?(seed = 42) ~dataset ~oracle () =
   if not (Float.is_finite sample_rate) || sample_rate < 0.0 || sample_rate > 1.0 then
     invalid_arg "Monitor.create: sample_rate must be in [0, 1]";
   if window < 1 then invalid_arg "Monitor.create: window must be >= 1";
   if not (threshold > 0.0) then invalid_arg "Monitor.create: threshold must be > 0";
-  (* The gauges exist from creation, so a scrape of an idle engine already
-     shows the drift surface (all zeros) rather than nothing. *)
-  Metrics.set_gauge "drift.alarm" 0;
-  Metrics.set_gauge "drift.samples" 0;
-  Metrics.set_gauge "drift.rel_error_p50_ppm" 0;
-  Metrics.set_gauge "drift.rel_error_p90_ppm" 0;
-  Metrics.set_gauge "drift.rel_error_p99_ppm" 0;
+  (* A rebuilt bundle's monitor starts with an empty window and no alarm,
+     so its dataset's gauges start over with it. *)
+  let series = series dataset in
+  List.iter (fun g -> Metrics.set g 0)
+    (series.alarm_gauge :: series.samples_gauge :: List.map snd series.quantiles);
   {
+    series;
     sample_rate;
     threshold;
     min_samples = max 1 min_samples;
@@ -117,7 +138,7 @@ let consider t key =
     Mutex.unlock t.mutex;
     if not sampled then None
     else begin
-      Metrics.incr "drift.sampled";
+      Metrics.incr t.series.sampled;
       Some (t.oracle key)
     end
   end
@@ -150,24 +171,21 @@ let observe t ~exact ~estimate =
   if t.window_n < Array.length t.window then t.window_n <- t.window_n + 1;
   t.samples <- t.samples + 1;
   let sorted = sorted_window_locked t in
-  let p50 = quantile_of_sorted sorted 0.50 in
   let p90 = quantile_of_sorted sorted 0.90 in
-  let p99 = quantile_of_sorted sorted 0.99 in
   let alarm_now = t.window_n >= t.min_samples && p90 >= t.threshold in
   let transition = alarm_now <> t.alarm in
   if transition && alarm_now then t.alarm_transitions <- t.alarm_transitions + 1;
   t.alarm <- alarm_now;
   let samples = t.samples in
   Mutex.unlock t.mutex;
-  Metrics.observe "drift.rel_error_ppm" (ppm err);
-  Metrics.set_gauge "drift.samples" samples;
-  Metrics.set_gauge "drift.rel_error_p50_ppm" (ppm p50);
-  Metrics.set_gauge "drift.rel_error_p90_ppm" (ppm p90);
-  Metrics.set_gauge "drift.rel_error_p99_ppm" (ppm p99);
+  let s = t.series in
+  Metrics.observe s.rel_errors (ppm err);
+  Metrics.set s.samples_gauge samples;
+  List.iter (fun (q, g) -> Metrics.set g (ppm (quantile_of_sorted sorted q))) s.quantiles;
   if transition then begin
-    Metrics.set_gauge "drift.alarm" (if alarm_now then 1 else 0);
+    Metrics.set s.alarm_gauge (if alarm_now then 1 else 0);
     if alarm_now then begin
-      Metrics.incr "drift.alarm_transitions";
+      Metrics.incr s.raised;
       Log.warn (fun m ->
           m "drift alarm raised: window p90 relative error %.3f >= threshold %.3f (%d samples)"
             p90 t.threshold samples)

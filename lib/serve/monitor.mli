@@ -7,7 +7,9 @@
     gauges (and every sample feeds the [drift.rel_error_ppm] histogram);
     when the p90 crosses the threshold with enough samples in the window
     the alarm is raised — [/healthz] on the {!Tl_obs.Exporter} flips to
-    503 and [drift.alarm] goes to 1.
+    503 and [drift.alarm] goes to 1.  Every series carries the
+    monitor's [dataset] label, so monitors of different datasets never
+    overwrite each other's.
 
     Thread-safe for sampling decisions and observations; the oracle
     replay itself runs on the caller (see {!consider}).  With a fixed
@@ -22,6 +24,7 @@ val create :
   ?threshold:float ->
   ?min_samples:int ->
   ?seed:int ->
+  dataset:string ->
   oracle:(Tl_twig.Twig.Key.t -> float) ->
   unit ->
   t
@@ -30,8 +33,10 @@ val create :
     alarming when the window p90 reaches [threshold] (default 1.0, i.e.
     100% relative error) with at least [min_samples] (default 16) errors
     in the window.  [seed] (default 42) drives the deterministic
-    sampling rng.  Registers the [tl_drift_*] gauges immediately, so an
-    idle engine's scrape already shows the drift surface. *)
+    sampling rng.  Registers the [tl_drift_*{dataset="..."}] series and
+    sets [dataset]'s gauges to 0, so an idle engine's scrape already shows
+    the drift surface and a rebuilt bundle's monitor starts from an empty
+    window. *)
 
 val oracle_of_tree : Tl_tree.Data_tree.t -> Tl_twig.Twig.Key.t -> float
 (** An exact oracle counting matches in [tree].  Owns a private

@@ -40,6 +40,8 @@ type bundle = {
   b_audit : Audit.t;
   b_monitor : Monitor.t option;
   b_parsed : parse_cache;
+  b_queries : Metrics.counter;  (* serve.queries{dataset=b_name}, and so on *)
+  b_batches : Metrics.counter;
 }
 
 (* Where a dataset came from, for [reload]. *)
@@ -77,20 +79,21 @@ type t = {
   reload_alarm : bool Atomic.t;
 }
 
+let datasets_gauge =
+  Metrics.gauge ~help:"Datasets currently installed in the serving registry" "registry.datasets"
+let reloads = Metrics.counter ~help:"Successful dataset swaps/reloads" "registry.reloads_total"
+let reload_failures =
+  Metrics.counter ~help:"Failed dataset loads or validations" "registry.reload_failures_total"
+let alarm_gauge =
+  Metrics.gauge ~help:"Latching reload-failure alarm (1 = a reload has failed)" "registry.alarm"
+let parse_hits =
+  Metrics.counter ~help:"Query lines answered from a bundle's parse cache" "registry.parse_cache_hits"
+let parse_misses =
+  Metrics.counter ~help:"Query lines parsed (and, when valid, cached)" "registry.parse_cache_misses"
+
+let dataset_labels name = [ ("dataset", name) ]
+
 let create ?(config = default_config) () =
-  Metrics.describe "registry.datasets" "Datasets currently installed in the serving registry";
-  Metrics.describe "registry.reloads_total" "Successful dataset swaps/reloads";
-  Metrics.describe "registry.reload_failures_total" "Failed dataset loads or validations";
-  Metrics.describe "registry.alarm" "Latching reload-failure alarm (1 = a reload has failed)";
-  Metrics.describe "registry.parse_cache_hits" "Query lines answered from a bundle's parse cache";
-  Metrics.describe "registry.parse_cache_misses" "Query lines parsed (and, when valid, cached)";
-  Metrics.describe "twig.leaf_pairs_built"
-    "Leaf-pair splits built for decomposition (each is built once per process, then reused)";
-  Metrics.set_gauge "registry.datasets" 0;
-  Metrics.set_gauge "registry.alarm" 0;
-  Metrics.add "registry.parse_cache_hits" 0;
-  Metrics.add "registry.parse_cache_misses" 0;
-  Metrics.add "twig.leaf_pairs_built" 0;
   {
     cfg = config;
     mutex = Mutex.create ();
@@ -106,12 +109,12 @@ let alarm t = Atomic.get t.reload_alarm
 
 let clear_alarm t =
   Atomic.set t.reload_alarm false;
-  Metrics.set_gauge "registry.alarm" 0
+  Metrics.set alarm_gauge 0
 
 let fail t msg =
-  Metrics.incr "registry.reload_failures_total";
+  Metrics.incr reload_failures;
   Atomic.set t.reload_alarm true;
-  Metrics.set_gauge "registry.alarm" 1;
+  Metrics.set alarm_gauge 1;
   Tl_obs.Log.info (fun m -> m "registry: reload failed: %s" msg);
   Error msg
 
@@ -141,11 +144,13 @@ let validate_labels ~labels summary =
    and no summary entry carries it, so any twig over it has selectivity 0. *)
 let absent_label = -1
 
-let make_monitor cfg ~labels ~adaptive =
+let make_monitor cfg ~name ~labels ~adaptive =
   if cfg.sample_rate <= 0.0 then None
   else
     let monitor oracle =
-      Some (Monitor.create ~sample_rate:cfg.sample_rate ~threshold:cfg.drift_threshold ~oracle ())
+      Some
+        (Monitor.create ~sample_rate:cfg.sample_rate ~threshold:cfg.drift_threshold ~dataset:name
+           ~oracle ())
     in
     match cfg.drift_tree with
     | Some drift_tree ->
@@ -189,6 +194,7 @@ let build_bundle t ~name ~epoch ~labels ~tree summary =
         Some (Adaptive.create (Treelattice.of_summary tree summary))
       | _ -> None
     in
+    let counter = Metrics.counter ~labels:(dataset_labels name) in
     Ok
       {
         b_name = name;
@@ -199,13 +205,17 @@ let build_bundle t ~name ~epoch ~labels ~tree summary =
         b_engine = engine;
         b_adaptive = adaptive;
         b_audit = Audit.create ();
-        b_monitor = make_monitor cfg ~labels ~adaptive;
+        b_monitor = make_monitor cfg ~name ~labels ~adaptive;
         b_parsed = parsed;
+        b_queries = counter ~help:"Queries served per dataset" "serve.queries";
+        b_batches = counter ~help:"Batches served per dataset" "serve.batches";
       }
 
 (* --- install / swap ------------------------------------------------------ *)
 
-let epoch_gauge name epoch = Metrics.set_gauge ("registry.epoch." ^ name) epoch
+let epoch_gauge name =
+  Metrics.gauge ~labels:(dataset_labels name) ~help:"Epoch of the bundle serving each dataset"
+    "registry.epoch"
 
 let install t ~name ?source ~labels ~tree summary =
   (* The epoch is drawn before the (possibly slow) bundle build; racing
@@ -231,9 +241,9 @@ let install t ~name ?source ~labels ~tree summary =
     let current = Atomic.get ds.d_current in
     let n_datasets = Hashtbl.length t.table in
     Mutex.unlock t.mutex;
-    if not fresh then Metrics.incr "registry.reloads_total";
-    Metrics.set_gauge "registry.datasets" n_datasets;
-    epoch_gauge name current.b_epoch;
+    if not fresh then Metrics.incr reloads;
+    Metrics.set datasets_gauge n_datasets;
+    Metrics.set (epoch_gauge name) current.b_epoch;
     Tl_obs.Log.debug (fun m ->
         m "registry: %s %s at epoch %d (%d entries)"
           (if fresh then "installed" else "swapped")
@@ -402,16 +412,13 @@ let parse_locked b hits line =
     (match result with Ok parsed when cacheable -> Text_lru.add pc.pc_lru line parsed | _ -> ());
     result
 
-let count_parses ~lines ~hits =
-  if hits > 0 then Metrics.add "registry.parse_cache_hits" hits;
-  if lines > hits then Metrics.add "registry.parse_cache_misses" (lines - hits)
-
 let parse_query b line =
   let hits = ref 0 in
   Mutex.lock b.b_parsed.pc_mutex;
   let result = parse_locked b hits line in
   Mutex.unlock b.b_parsed.pc_mutex;
-  count_parses ~lines:1 ~hits:!hits;
+  Metrics.add parse_hits !hits;
+  Metrics.add parse_misses (1 - !hits);
   result
 
 let parse_queries b lines =
@@ -419,7 +426,8 @@ let parse_queries b lines =
   Mutex.lock b.b_parsed.pc_mutex;
   let results = Array.map (parse_locked b hits) lines in
   Mutex.unlock b.b_parsed.pc_mutex;
-  count_parses ~lines:(Array.length lines) ~hits:!hits;
+  Metrics.add parse_hits !hits;
+  Metrics.add parse_misses (Array.length lines - !hits);
   results
 
 (* --- serving ------------------------------------------------------------- *)
@@ -427,8 +435,8 @@ let parse_queries b lines =
 let batch ?pool b twigs =
   let extra = Option.map Adaptive.lookup b.b_adaptive in
   let results = Engine.batch ?pool ?extra ~audit:b.b_audit ?monitor:b.b_monitor b.b_engine twigs in
-  Metrics.add ("serve.queries." ^ b.b_name) (Array.length twigs);
-  Metrics.incr ("serve.batches." ^ b.b_name);
+  Metrics.add b.b_queries (Array.length twigs);
+  Metrics.incr b.b_batches;
   results
 
 (* --- /datasets ----------------------------------------------------------- *)

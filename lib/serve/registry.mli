@@ -29,10 +29,9 @@
     file-loading path, is a summary whose embedded label {e names} the
     routed document lacks.
 
-    Metrics: [registry.datasets], [registry.epoch.<name>] gauges,
+    Metrics: the [registry.datasets] and [registry.alarm] gauges, the
     [registry.reloads_total] / [registry.reload_failures_total] counters,
-    and the [registry.alarm] gauge (suffix-encoded names — the renderer
-    has no label support). *)
+    and a [registry.epoch{dataset="<name>"}] gauge per dataset. *)
 
 type t
 
@@ -62,8 +61,7 @@ val default_config : config
 (** [default_scheme], [k = 4], default capacities, monitoring off. *)
 
 val create : ?config:config -> unit -> t
-(** An empty registry.  Registers the [registry.*] metrics immediately so
-    an idle scrape already shows the surface. *)
+(** An empty registry. *)
 
 val config : t -> config
 
@@ -189,4 +187,5 @@ val batch : ?pool:Tl_util.Pool.t -> bundle -> Tl_twig.Twig.t array -> float arra
 (** {!Engine.batch} through the bundle's full serving stack: adaptive
     feedback as the [?extra] source (only where a monitor feeds it; see
     {!bundle}), the audit ring, and the drift monitor when configured.  Also bumps the
-    per-dataset [serve.queries.<name>]/[serve.batches.<name>] counters. *)
+    bundle's [serve.queries] / [serve.batches] counters, labelled with its
+    dataset. *)

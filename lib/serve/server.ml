@@ -24,6 +24,19 @@ module Metrics = Tl_obs.Metrics
 module Clock = Tl_util.Mono_clock
 module Exporter = Tl_obs.Exporter
 
+(* Process-wide series, shared by every server in the process. *)
+let connections =
+  Metrics.counter ~help:"TCP connections accepted by the query front-end" "server.connections"
+let queries = Metrics.counter ~help:"Queries answered over TCP (including error answers)" "server.queries"
+let batches = Metrics.counter ~help:"Query batches flushed over TCP" "server.batches"
+let shed_total = Metrics.counter ~help:"Connections shed by admission control" "server.shed_total"
+let deadline_cuts = Metrics.counter ~help:"Connections cut by the batch deadline" "server.deadline_cuts"
+let queue_depth = Metrics.gauge ~help:"Accepted connections waiting for a worker" "server.queue_depth"
+let active_connections =
+  Metrics.gauge ~help:"Connections currently being served" "server.active_connections"
+let port_gauge = Metrics.gauge ~help:"Port of the TCP query front-end" "server.port"
+let request_ns = Metrics.histogram ~help:"Per-batch evaluation latency (ns)" "server.request_ns"
+
 type config = {
   host : string;
   port : int;
@@ -93,10 +106,10 @@ let serve_batch t lines =
   Array.iter (Protocol.render ~json:t.config.json buf) answers;
   Buffer.add_char buf '\n';
   ignore (Atomic.fetch_and_add t.n_queries n);
-  Metrics.add "server.queries" n;
+  Metrics.add queries n;
   ignore (Atomic.fetch_and_add t.n_batches 1);
-  Metrics.incr "server.batches";
-  Metrics.observe "server.request_ns" (Clock.elapsed_ns ~since:t0);
+  Metrics.incr batches;
+  Metrics.observe request_ns (Clock.elapsed_ns ~since:t0);
   Buffer.contents buf
 
 (* --- connection handling --------------------------------------------------- *)
@@ -169,7 +182,7 @@ let too_long = Cut (Printf.sprintf "line longer than %d bytes" max_line)
    can be answered and the connection closed. *)
 let rec next_line t conn =
   if deadline_exceeded t conn then begin
-    Metrics.incr "server.deadline_cuts";
+    Metrics.incr deadline_cuts;
     Cut (Printf.sprintf "batch deadline (%.1fs) exceeded" t.config.batch_deadline)
   end
   else
@@ -232,7 +245,7 @@ let serve_conn t fd =
 
 (* --- threads --------------------------------------------------------------- *)
 
-let set_queue_gauge t = Metrics.set_gauge "server.queue_depth" (Queue.length t.queue)
+let set_queue_gauge t = Metrics.set queue_depth (Queue.length t.queue)
 
 let close_quietly fd =
   (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
@@ -242,7 +255,7 @@ let close_quietly fd =
    full socket buffer cannot stall admission), then close. *)
 let shed t fd =
   ignore (Atomic.fetch_and_add t.n_shed 1);
-  Metrics.incr "server.shed_total";
+  Metrics.incr shed_total;
   (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 0.2 with Unix.Unix_error _ -> ());
   (try Exporter.write_all fd (Protocol.busy_line ~json:t.config.json)
    with Exit | Unix.Unix_error _ -> ());
@@ -262,9 +275,9 @@ let worker_loop t wid =
       set_queue_gauge t;
       t.active.(wid) <- Some fd;
       Mutex.unlock t.qmutex;
-      Metrics.set_gauge "server.active_connections" (1 + Atomic.fetch_and_add t.n_active 1);
+      Metrics.set active_connections (1 + Atomic.fetch_and_add t.n_active 1);
       (try serve_conn t fd with Unix.Unix_error _ -> ());
-      Metrics.set_gauge "server.active_connections" (Atomic.fetch_and_add t.n_active (-1) - 1);
+      Metrics.set active_connections (Atomic.fetch_and_add t.n_active (-1) - 1);
       (* Clear the active slot and close under the lock so [stop] can
          never half-close an fd number the kernel has already reused. *)
       Mutex.lock t.qmutex;
@@ -284,7 +297,7 @@ let acceptor_loop t =
       if Atomic.get t.stopping then close_quietly fd
       else begin
         ignore (Atomic.fetch_and_add t.n_connections 1);
-        Metrics.incr "server.connections";
+        Metrics.incr connections;
         (try
            Unix.setsockopt_float fd Unix.SO_RCVTIMEO
              (Float.min t.config.socket_timeout t.config.batch_deadline);
@@ -306,29 +319,7 @@ let acceptor_loop t =
 
 (* --- lifecycle ------------------------------------------------------------- *)
 
-let describe_metrics =
-  lazy
-    (Metrics.describe "server.connections" "TCP connections accepted by the query front-end";
-     Metrics.describe "server.queries" "Queries answered over TCP (including error answers)";
-     Metrics.describe "server.batches" "Query batches flushed over TCP";
-     Metrics.describe "server.shed_total" "Connections shed by admission control";
-     Metrics.describe "server.deadline_cuts" "Connections cut by the batch deadline";
-     Metrics.describe "server.queue_depth" "Accepted connections waiting for a worker";
-     Metrics.describe "server.active_connections" "Connections currently being served";
-     Metrics.describe "server.request_ns" "Per-batch evaluation latency (ns)";
-     (* Materialize the counter surface at zero so a scrape taken before
-        the first connection (or the first shed) still exports every
-        series a dashboard or alert rule may reference. *)
-     Metrics.add "server.connections" 0;
-     Metrics.add "server.queries" 0;
-     Metrics.add "server.batches" 0;
-     Metrics.add "server.shed_total" 0;
-     Metrics.add "server.deadline_cuts" 0;
-     Metrics.set_gauge "server.queue_depth" 0;
-     Metrics.set_gauge "server.active_connections" 0)
-
 let start ?(config = default_config) ?pool registry =
-  Lazy.force describe_metrics;
   let config =
     {
       config with
@@ -366,7 +357,7 @@ let start ?(config = default_config) ?pool registry =
   in
   t.worker_threads <- List.init config.workers (fun wid -> Thread.create (worker_loop t) wid);
   t.acceptor <- Some (Thread.create acceptor_loop t);
-  Metrics.set_gauge "server.port" bound_port;
+  Metrics.set port_gauge bound_port;
   Tl_obs.Log.info (fun m -> m "server listening on %s:%d" config.host bound_port);
   t
 

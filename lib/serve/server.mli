@@ -39,8 +39,8 @@
     so a concurrent {!Registry.swap} is picked up between batches and
     every response line carries the epoch it was served from.
 
-    Metrics: [tl_server_connections], [tl_server_queries_total],
-    [tl_server_batches_total], [tl_server_shed_total], [tl_server_deadline_cuts],
+    Metrics: [tl_server_connections], [tl_server_queries],
+    [tl_server_batches], [tl_server_shed_total], [tl_server_deadline_cuts],
     [tl_server_queue_depth] / [tl_server_active_connections] gauges, and
     the [tl_server_request_ns] per-batch latency histogram. *)
 

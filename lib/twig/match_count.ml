@@ -38,24 +38,28 @@ let prepare twig =
 (* [ways.(mask)] is the weighted number of ways to place exactly the
    query children in [mask] injectively among the data children seen so
    far.  Descending mask order: reads of strictly smaller masks see the
-   pre-update values, so each data child is used at most once. *)
+   pre-update values, so each data child is used at most once.  Fewer
+   data children than members place nobody: 0, before any allocation. *)
 let injective_assignments ~members:m subs =
-  let full = (1 lsl m) - 1 in
-  let ways = Array.make (full + 1) 0 in
-  ways.(0) <- 1;
-  for row = 0 to (Array.length subs / m) - 1 do
-    for mask = full downto 1 do
-      let acc = ref ways.(mask) in
-      for i = 0 to m - 1 do
-        if mask land (1 lsl i) <> 0 then begin
-          let sub = subs.((row * m) + i) in
-          if sub <> 0 then acc := !acc + (ways.(mask lxor (1 lsl i)) * sub)
-        end
-      done;
-      ways.(mask) <- !acc
-    done
-  done;
-  ways.(full)
+  let rows = Array.length subs / m in
+  if rows < m then 0
+  else
+    let full = (1 lsl m) - 1 in
+    let ways = Array.make (full + 1) 0 in
+    ways.(0) <- 1;
+    for row = 0 to rows - 1 do
+      for mask = full downto 1 do
+        let acc = ref ways.(mask) in
+        for i = 0 to m - 1 do
+          if mask land (1 lsl i) <> 0 then begin
+            let sub = subs.((row * m) + i) in
+            if sub <> 0 then acc := !acc + (ways.(mask lxor (1 lsl i)) * sub)
+          end
+        done;
+        ways.(mask) <- !acc
+      done
+    done;
+    ways.(full)
 
 (* Count matches of query subtree [q] rooted exactly at data node [v],
    top-down: only descendants reachable through label-matching edges are
@@ -93,21 +97,26 @@ and group_count tree groups g v =
     Data_tree.fold_children_with_label tree v g.glabel
       (fun acc w -> acc + node_count tree groups w g.members.(0))
       0
-  else begin
+  else
     (* Each data child's m sub-counts, computed once: the mask loop below
        reads each of them up to 2^(m-1) times. *)
     let c = Data_tree.count_children_with_label tree v g.glabel in
-    let subs = Array.make (c * m) 0 in
-    ignore
-      (Data_tree.fold_children_with_label tree v g.glabel
-         (fun row w ->
-           for i = 0 to m - 1 do
-             subs.((row * m) + i) <- node_count tree groups w g.members.(i)
-           done;
-           row + 1)
-         0);
-    injective_assignments ~members:m subs
-  end
+    if c < m then 0
+    else
+      let subs = Array.make (c * m) 0 in
+      ignore
+        (Data_tree.fold_children_with_label tree v g.glabel
+           (fun row w ->
+             for i = 0 to m - 1 do
+               subs.((row * m) + i) <- node_count tree groups w g.members.(i)
+             done;
+             row + 1)
+           0);
+      injective_assignments ~members:m subs
+
+let calls = Tl_obs.Metrics.counter ~help:"Exact twig-count evaluations" "match_count.calls"
+let selectivities =
+  Tl_obs.Metrics.histogram ~help:"Distribution of exact twig counts" "match_count.selectivity"
 
 (* The one counting loop: every entry point is a choice of roots. *)
 let count_over ctx twig roots ~keep_roots =
@@ -131,10 +140,8 @@ let count_over ctx twig roots ~keep_roots =
       end
     end
   done;
-  (* Domain-sharded, so safe (and still deterministic in aggregate) when
-     counting fans out across a pool. *)
-  Tl_obs.Metrics.incr "match_count.calls";
-  Tl_obs.Metrics.observe "match_count.selectivity" !total;
+  Tl_obs.Metrics.incr calls;
+  Tl_obs.Metrics.observe selectivities !total;
   let kept =
     if not keep_roots then [||]
     else if !nhits = nroots then roots (* shared, not copied: root lists are read-only *)

@@ -62,4 +62,5 @@ val injective_assignments : members:int -> int array -> int
     place the [m] query children on distinct data children, where
     [subs.(row * m + i)] is the match count of query child [i] at the
     group's [row]-th data child ([subs] holds whole rows).  Evaluated by
-    a descending subset-mask DP in O(rows * m * 2{^m}). *)
+    a descending subset-mask DP in O(rows * m * 2{^m}); 0 without
+    allocating when there are fewer rows than members. *)

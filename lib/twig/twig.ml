@@ -459,13 +459,18 @@ let rec publish_split k i npairs s =
     if Atomic.compare_and_set k.splits cur next then s else publish_split k i npairs s
   end
 
+let leaf_pairs_built =
+  Tl_obs.Metrics.counter
+    ~help:"Leaf-pair splits built for decomposition (each is built once per process, then reused)"
+    "twig.leaf_pairs_built"
+
 let split_slow k i =
   let ix = index k.twig in
   let pairs = leaf_pairs ix in
   let npairs = List.length pairs in
   if i < 0 || i >= npairs then invalid_arg "Twig.Key.split: pair index out of bounds";
   let s = build_split ix (List.nth pairs i) in
-  Tl_obs.Metrics.incr "twig.leaf_pairs_built";
+  Tl_obs.Metrics.incr leaf_pairs_built;
   publish_split k i npairs s
 
 module Key = struct

@@ -68,19 +68,20 @@ let run vtree query =
       Data_tree.fold_children_with_label tree v group_label
         (fun acc w -> acc + node_count w group.(0))
         0
-    else begin
+    else
       let c = Data_tree.count_children_with_label tree v group_label in
-      let subs = Array.make (c * m) 0 in
-      ignore
-        (Data_tree.fold_children_with_label tree v group_label
-           (fun row w ->
-             for i = 0 to m - 1 do
-               subs.((row * m) + i) <- node_count w group.(i)
-             done;
-             row + 1)
-           0);
-      Tl_twig.Match_count.injective_assignments ~members:m subs
-    end
+      if c < m then 0
+      else
+        let subs = Array.make (c * m) 0 in
+        ignore
+          (Data_tree.fold_children_with_label tree v group_label
+             (fun row w ->
+               for i = 0 to m - 1 do
+                 subs.((row * m) + i) <- node_count w group.(i)
+               done;
+               row + 1)
+             0);
+        Tl_twig.Match_count.injective_assignments ~members:m subs
   in
   (qnodes, node_count)
 

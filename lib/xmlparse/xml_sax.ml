@@ -179,11 +179,15 @@ let scan lx handler =
   in
   loop ()
 
+let documents_parsed = Tl_obs.Metrics.counter ~help:"XML documents parsed" "xml.documents_parsed"
+let input_bytes =
+  Tl_obs.Metrics.histogram ~help:"Distribution of parsed XML document sizes" "xml.input_bytes"
+
 let parse_string input handler =
   Tl_obs.Span.with_ "xml.parse" @@ fun () ->
   scan (Xml_lexer.of_string input) handler;
-  Tl_obs.Metrics.incr "xml.documents_parsed";
-  Tl_obs.Metrics.observe "xml.input_bytes" (String.length input)
+  Tl_obs.Metrics.incr documents_parsed;
+  Tl_obs.Metrics.observe input_bytes (String.length input)
 
 let parse_file path handler = parse_string (In_channel.with_open_bin path In_channel.input_all) handler
 

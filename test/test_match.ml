@@ -96,6 +96,29 @@ let test_ctx_reuse () =
   ignore (Match_count.selectivity ctx (Twig.leaf 0));
   Alcotest.(check int) "same answer after reuse" first (Match_count.selectivity ctx q1)
 
+(* m same-label siblings with children of their own cost a 2^m mask DP;
+   a data node with fewer matching children than m must answer 0 before
+   paying it.  At m = 24 the DP would allocate 2^24 ints. *)
+let test_wide_group_cannot_fit () =
+  let xml = "<a>" ^ String.concat "" (List.init 3 (fun _ -> "<b><c/></b>")) ^ "</a>" in
+  let query m = "a(" ^ String.concat "," (List.init m (fun _ -> "b(c)")) ^ ")" in
+  let t0 = Tl_util.Mono_clock.now_ns () in
+  let tree = Tl_tree.Data_tree.of_xml (Tl_xml.Xml_dom.parse_string xml) in
+  Alcotest.(check int) "three fit: 3!" 6 (count_of tree (query 3));
+  Alcotest.(check int) "Match_count: 24 cannot fit" 0 (count_of tree (query 24));
+  let vt = Tl_values.Value_tree.of_xml (Tl_xml.Xml_dom.parse_string xml) in
+  let value_count m =
+    match Tl_values.Value_query.parse ~intern:(Data_tree.label_of_string tree) (query m) with
+    | Ok vq -> Tl_values.Value_match.selectivity vt vq
+    | Error msg -> Alcotest.failf "parse: %s" msg
+  in
+  Alcotest.(check int) "Value_match: three fit" 6 (value_count 3);
+  Alcotest.(check int) "Value_match: 24 cannot fit" 0 (value_count 24);
+  Alcotest.(check int) "injective_assignments: 3 rows, 24 members" 0
+    (Match_count.injective_assignments ~members:24 (Array.make (3 * 24) 1));
+  let elapsed = Tl_util.Mono_clock.elapsed_ns ~since:t0 in
+  Alcotest.(check bool) (Printf.sprintf "within 1 s (%d ns)" elapsed) true (elapsed < 1_000_000_000)
+
 let test_cross_branch_query () =
   (* a(b(c),b(d)): b's must be distinct. *)
   let tree =
@@ -239,6 +262,7 @@ let () =
           Alcotest.test_case "rooted counts" `Quick test_rooted_counts;
           Alcotest.test_case "ctx reuse" `Quick test_ctx_reuse;
           Alcotest.test_case "cross-branch injectivity" `Quick test_cross_branch_query;
+          Alcotest.test_case "wide group that cannot fit" `Quick test_wide_group_cannot_fit;
         ] );
       ( "oracle",
         [

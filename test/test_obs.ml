@@ -1,6 +1,7 @@
-(* Observability subsystem: domain-sharded metrics (the parallel ==
-   sequential snapshot property), span nesting, histogram bucketing, the
-   monotonic clock behind Timer, and the estimator explain-trace. *)
+(* Observability subsystem: metric handles (labels, the parallel ==
+   sequential snapshot property, threads registering and recording at
+   once), span nesting, histogram bucketing, the monotonic clock behind
+   Timer, and the estimator explain-trace. *)
 
 module TB = Tl_tree.Tree_builder
 module Metrics = Tl_obs.Metrics
@@ -41,12 +42,25 @@ let test_bucketing () =
     assert (Metrics.bucket_floor b <= v && v < Metrics.bucket_floor (b + 1))
   done
 
+(* Every series except [except] reads 0: registered series exist at 0,
+   so what a test did not touch must not have moved. *)
+let check_rest_zero ~except (snap : Metrics.snapshot) =
+  let others xs = List.filter (fun (n, _) -> not (List.mem n except)) xs in
+  List.iter
+    (fun (n, v) -> Alcotest.(check int) ("untouched counter " ^ n) 0 v)
+    (others snap.Metrics.counters);
+  List.iter
+    (fun (n, h) -> Alcotest.(check int) ("untouched histogram " ^ n) 0 h.Metrics.h_observations)
+    (others snap.Metrics.histograms)
+
 let test_histogram_snapshot () =
+  let hist = Metrics.histogram ~help:"Test histogram" "t.hist" in
   Metrics.reset ();
-  List.iter (Metrics.observe "t.hist") [ 1; 1; 3; 8; 9; 500 ];
-  match (Metrics.snapshot ()).Metrics.histograms with
-  | [ (name, h) ] ->
-    Alcotest.(check string) "name" "t.hist" name;
+  List.iter (Metrics.observe hist) [ 1; 1; 3; 8; 9; 500 ];
+  let snap = Metrics.snapshot () in
+  check_rest_zero ~except:[ "t.hist" ] snap;
+  match List.assoc_opt "t.hist" snap.Metrics.histograms with
+  | Some h ->
     Alcotest.(check int) "observations" 6 h.Metrics.h_observations;
     Alcotest.(check int) "sum" 522 h.Metrics.h_sum;
     Alcotest.(check int) "min" 1 h.Metrics.h_min;
@@ -55,24 +69,28 @@ let test_histogram_snapshot () =
       "non-empty buckets, ascending floors"
       [ (0, 2); (2, 1); (8, 2); (256, 1) ]
       h.Metrics.h_buckets
-  | hs -> Alcotest.failf "expected one histogram, got %d" (List.length hs)
+  | None -> Alcotest.fail "t.hist missing from the snapshot"
 
 (* --- counters, gauges, rendering ----------------------------------------- *)
 
 let test_counters_and_rendering () =
+  let b = Metrics.counter ~help:"b" "b.count" and a = Metrics.counter ~help:"a" "a.count" in
+  let g = Metrics.gauge ~help:"g" "g.size" and h = Metrics.histogram ~help:"h" "h.vals" in
   Metrics.reset ();
-  Metrics.incr "b.count";
-  Metrics.add "b.count" 4;
-  Metrics.incr "a.count";
-  Metrics.set_gauge "g.size" 3;
-  Metrics.set_gauge "g.size" 7;
-  Metrics.observe "h.vals" 10;
+  Metrics.incr b;
+  Metrics.add b 4;
+  Metrics.incr a;
+  Metrics.set g 3;
+  Metrics.set g 7;
+  Metrics.observe h 10;
   let snap = Metrics.snapshot () in
+  let mine = [ "a.count"; "b.count" ] in
   Alcotest.(check (list (pair string int)))
     "counters sorted and summed"
     [ ("a.count", 1); ("b.count", 5) ]
-    snap.Metrics.counters;
-  Alcotest.(check (list (pair string int))) "gauge keeps last set" [ ("g.size", 7) ] snap.Metrics.gauges;
+    (List.filter (fun (n, _) -> List.mem n mine) snap.Metrics.counters);
+  check_rest_zero ~except:[ "a.count"; "b.count"; "h.vals" ] snap;
+  Alcotest.(check (option int)) "gauge keeps last set" (Some 7) (List.assoc_opt "g.size" snap.Metrics.gauges);
   let prom = Metrics.to_prometheus snap in
   List.iter
     (fun needle ->
@@ -82,18 +100,61 @@ let test_counters_and_rendering () =
       "# TYPE tl_a_count counter"; "tl_b_count 5"; "# TYPE tl_g_size gauge";
       "# TYPE tl_h_vals histogram"; "tl_h_vals_bucket{le=\"+Inf\"} 1"; "tl_h_vals_sum 10";
     ];
-  Alcotest.(check bool) "pp_table mentions the counter" true
-    (Tl_util.Prelude.string_contains ~needle:"a.count" (Metrics.pp_table snap));
   Metrics.reset ();
   let empty = Metrics.snapshot () in
-  Alcotest.(check int) "reset clears counters" 0 (List.length empty.Metrics.counters)
+  Alcotest.(check (list (pair string int)))
+    "reset sets every counter to 0 and keeps it registered"
+    [ ("a.count", 0); ("b.count", 0) ]
+    (List.filter (fun (n, _) -> List.mem n mine) empty.Metrics.counters);
+  Alcotest.(check int) "reset clears counters" 0
+    (List.fold_left (fun acc (_, v) -> acc + abs v) 0 empty.Metrics.counters);
+  Alcotest.(check (option int)) "reset clears gauges" (Some 0) (List.assoc_opt "g.size" empty.Metrics.gauges)
+
+let test_registration_and_labels () =
+  let main = Metrics.counter ~labels:[ ("dataset", "main") ] ~help:"Per-dataset test counter" "l.count" in
+  let again = Metrics.counter ~labels:[ ("dataset", "main") ] ~help:"ignored" "l.count" in
+  let quoted = Metrics.counter ~labels:[ ("dataset", {|a"b|}) ] ~help:"ignored" "l.count" in
+  let lat =
+    Metrics.histogram ~labels:[ ("dataset", "main"); ("a", "x") ] ~help:"Per-dataset test histogram"
+      "l.hist"
+  in
+  Metrics.reset ();
+  Alcotest.(check bool) "same name and labels: same cell" true (main == again);
+  Metrics.incr main;
+  Metrics.incr again;
+  Metrics.add quoted 3;
+  Metrics.observe lat 1;
+  Alcotest.check_raises "one name is one kind"
+    (Invalid_argument "Metrics: l.count is a counter, not a gauge") (fun () ->
+      ignore (Metrics.gauge ~help:"clash" "l.count"));
+  let snap = Metrics.snapshot () in
+  Alcotest.(check (option int)) "labelled series id" (Some 2)
+    (List.assoc_opt {|l.count{dataset="main"}|} snap.Metrics.counters);
+  Alcotest.(check (option int)) "label values are escaped" (Some 3)
+    (List.assoc_opt {|l.count{dataset="a\"b"}|} snap.Metrics.counters);
+  let prom = Metrics.to_prometheus snap in
+  let count needle =
+    List.length (List.filter (String.equal needle) (String.split_on_char '\n' prom))
+  in
+  Alcotest.(check int) "one HELP line per name, with the first help text" 1
+    (count "# HELP tl_l_count Per-dataset test counter");
+  Alcotest.(check int) "one TYPE line per name" 1 (count "# TYPE tl_l_count counter");
+  List.iter
+    (fun needle -> Alcotest.(check int) ("prometheus line " ^ needle) 1 (count needle))
+    [
+      {|tl_l_count{dataset="a\"b"} 3|}; {|tl_l_count{dataset="main"} 2|};
+      {|tl_l_hist_bucket{a="x",dataset="main",le="1"} 1|};
+      {|tl_l_hist_bucket{a="x",dataset="main",le="+Inf"} 1|};
+      {|tl_l_hist_sum{a="x",dataset="main"} 1|}; {|tl_l_hist_count{a="x",dataset="main"} 1|};
+    ]
 
 let test_prometheus_help_and_buckets () =
+  let helped = Metrics.counter ~help:"A documented counter" "helped.count" in
+  let gap = Metrics.histogram ~help:"Gap histogram" "gap.hist" in
   Metrics.reset ();
-  Metrics.describe "helped.count" "A documented counter";
-  Metrics.incr "helped.count";
-  Metrics.observe "gap.hist" 1;
-  Metrics.observe "gap.hist" 100;
+  Metrics.incr helped;
+  Metrics.observe gap 1;
+  Metrics.observe gap 100;
   let prom = Metrics.to_prometheus (Metrics.snapshot ()) in
   List.iter
     (fun needle ->
@@ -127,22 +188,23 @@ let test_prometheus_help_and_buckets () =
   in
   Alcotest.(check bool) "bucket series is cumulative" true (nondecreasing bucket_counts)
 
-(* --- the tentpole property: parallel metrics == sequential --------------- *)
+(* --- parallel and concurrent recording ------------------------------------ *)
 
 (* The same per-element work (counter bumps + histogram observations) run
-   through an N-domain pool must merge to a snapshot bit-identical to the
-   sequential run.  Gauges are excluded: [max]-merge is deterministic but
-   "last write" (sequential) and "max across domains" (parallel) are
-   different reductions by design. *)
+   through an N-domain pool reaches a snapshot bit-identical to the
+   sequential run: counter and histogram updates are sums. *)
 let prop_parallel_snapshot_identical =
   let open QCheck2 in
   let gen = Gen.pair (Gen.list_size (Gen.int_range 1 120) (Gen.int_bound 2000)) (Gen.int_range 2 4) in
+  let elements = Metrics.counter ~help:"Pool test elements" "p.elements" in
+  let sum = Metrics.counter ~help:"Pool test sum" "p.sum" in
+  let hist = Metrics.histogram ~help:"Pool test values" "p.hist" in
   Helpers.qcheck_case ~count:25 ~name:"metrics: pool run merges to the sequential snapshot" gen
     (fun (values, domains) ->
       let work v =
-        Metrics.incr "p.elements";
-        Metrics.add "p.sum" v;
-        Metrics.observe "p.hist" v
+        Metrics.incr elements;
+        Metrics.add sum v;
+        Metrics.observe hist v
       in
       let arr = Array.of_list values in
       Metrics.reset ();
@@ -151,7 +213,7 @@ let prop_parallel_snapshot_identical =
       Metrics.reset ();
       let _ = Pool.with_pool ~domains (fun pool -> Pool.parallel_map pool (fun v -> work v; v) arr) in
       let parallel = Metrics.snapshot () in
-      Metrics.equal_snapshot sequential parallel)
+      sequential = parallel)
 
 (* End-to-end flavor of the same property: mining a summary across a pool
    leaves the instrumentation (match-count calls, per-level candidate
@@ -168,7 +230,46 @@ let test_miner_metrics_parallel_identical () =
   Alcotest.(check int) "same pattern count" (Tl_mining.Miner.total_patterns seq)
     (Tl_mining.Miner.total_patterns par);
   Alcotest.(check bool) "mining metrics identical under -j 3" true
-    (Metrics.equal_snapshot seq_snap par_snap)
+    (seq_snap = par_snap)
+
+(* System threads on one domain registering and recording at once, as
+   the TCP workers, the exporter and the stdin loop do: 8 threads each
+   add 20,000 times to a shared counter and to one of 5,000 fresh
+   labelled series of their own.  Every add and every series must land,
+   and no thread may raise.  Each round uses fresh label values. *)
+let test_threads_register_and_add () =
+  let threads = 8 and adds = 20_000 and fresh = 5_000 in
+  for round = 1 to 5 do
+    let run = string_of_int round in
+    let shared = Metrics.counter ~labels:[ ("run", run) ] ~help:"Race test shared" "race.shared" in
+    let failures = Atomic.make [] in
+    let body t =
+      try
+        for i = 0 to adds - 1 do
+          Metrics.incr shared;
+          Metrics.incr
+            (Metrics.counter
+               ~labels:[ ("run", run); ("thread", string_of_int t); ("value", string_of_int (i mod fresh)) ]
+               ~help:"Race test fresh" "race.fresh")
+        done
+      with e ->
+        let rec push () =
+          let cur = Atomic.get failures in
+          if not (Atomic.compare_and_set failures cur (Printexc.to_string e :: cur)) then push ()
+        in
+        push ()
+    in
+    List.iter Thread.join (List.init threads (Thread.create body));
+    Alcotest.(check (list string)) "no thread raised" [] (Atomic.get failures);
+    let prefix = Printf.sprintf {|race.fresh{run="%s",|} run in
+    let mine =
+      List.filter (fun (n, _) -> String.starts_with ~prefix n) (Metrics.snapshot ()).Metrics.counters
+    in
+    Alcotest.(check int) "every fresh series registered" (threads * fresh) (List.length mine);
+    List.iter (fun (n, v) -> Alcotest.(check int) n (adds / fresh) v) mine;
+    Alcotest.(check (option int)) "shared total exact" (Some (threads * adds))
+      (List.assoc_opt (Printf.sprintf {|race.shared{run="%s"}|} run) (Metrics.snapshot ()).Metrics.counters)
+  done
 
 (* --- spans ---------------------------------------------------------------- *)
 
@@ -274,9 +375,11 @@ let status_of response =
   match String.split_on_char ' ' response with _ :: code :: _ -> int_of_string code | _ -> -1
 
 let test_exporter_round_trip () =
+  let scraped = Metrics.counter ~help:"Scraped test counter" "scraped.count" in
+  let scraped_hist = Metrics.histogram ~help:"Scraped test histogram" "scraped.hist" in
   Metrics.reset ();
-  Metrics.incr "scraped.count";
-  Metrics.observe "scraped.hist" 42;
+  Metrics.incr scraped;
+  Metrics.observe scraped_hist 42;
   let hits = ref 0 in
   let exporter =
     Tl_obs.Exporter.start
@@ -475,6 +578,8 @@ let () =
           Alcotest.test_case "log-scale bucketing" `Quick test_bucketing;
           Alcotest.test_case "histogram snapshot" `Quick test_histogram_snapshot;
           Alcotest.test_case "counters, gauges, rendering" `Quick test_counters_and_rendering;
+          Alcotest.test_case "idempotent registration and labels" `Quick
+            test_registration_and_labels;
           Alcotest.test_case "prometheus HELP and cumulative buckets" `Quick
             test_prometheus_help_and_buckets;
           prop_parallel_snapshot_identical;
@@ -502,5 +607,11 @@ let () =
           prop_explain_matches_estimator;
           prop_explain_lookups_once_per_node;
           Alcotest.test_case "true zero short-circuit" `Quick test_explain_true_zero;
+        ] );
+      (* Last: its 200,005 series would slow every later snapshot. *)
+      ( "threads",
+        [
+          Alcotest.test_case "8 threads register and add on one domain" `Quick
+            test_threads_register_and_add;
         ] );
     ]

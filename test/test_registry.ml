@@ -62,7 +62,7 @@ let test_install_find_epochs () =
     (Registry.epoch b3 > Registry.epoch b2);
   Alcotest.(check int) "swap counted as reload" 1 (counter "registry.reloads_total");
   Alcotest.(check int) "epoch gauge tracks the swap" (Registry.epoch b3)
-    (gauge "registry.epoch.fig11");
+    (gauge {|registry.epoch{dataset="fig11"}|});
   let json = Registry.datasets_json t in
   Alcotest.(check bool) "json lists fig11" true (contains ~needle:{|"name": "fig11"|} json);
   Alcotest.(check bool) "json carries the live epoch" true

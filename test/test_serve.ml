@@ -418,7 +418,7 @@ let test_audit_captures_clamp_and_feedback () =
 
 let test_monitor_window_quantiles_and_alarm () =
   let oracle _ = 100.0 in
-  let m = Monitor.create ~sample_rate:1.0 ~window:8 ~threshold:0.5 ~min_samples:4 ~oracle () in
+  let m = Monitor.create ~sample_rate:1.0 ~dataset:"test" ~window:8 ~threshold:0.5 ~min_samples:4 ~oracle () in
   Alcotest.(check bool) "no alarm before min_samples" false (Monitor.alarm m);
   (* Three accurate observations: rel error 0.1 each. *)
   for _ = 1 to 3 do
@@ -457,7 +457,7 @@ let test_monitor_sampling_deterministic () =
     let engine = Engine.create summary in
     ignore (Engine.batch engine batch);
     let oracle = Monitor.oracle_of_tree tree in
-    let m = Monitor.create ~sample_rate:0.5 ~seed:42 ~oracle () in
+    let m = Monitor.create ~sample_rate:0.5 ~dataset:"test" ~seed:42 ~oracle () in
     (match pool with
     | None -> ignore (Engine.batch ~monitor:m engine batch)
     | Some pool -> ignore (Engine.batch ~pool ~monitor:m engine batch));
@@ -482,7 +482,7 @@ let test_monitor_engine_golden () =
   let engine = Engine.create summary in
   ignore (Engine.batch engine distinct);
   let ctx = Tl_twig.Match_count.create_ctx tree in
-  let m = Monitor.create ~sample_rate:1.0 ~oracle:(Monitor.oracle_of_tree tree) () in
+  let m = Monitor.create ~sample_rate:1.0 ~dataset:"test" ~oracle:(Monitor.oracle_of_tree tree) () in
   let estimates = Engine.batch ~monitor:m engine distinct in
   let s = Monitor.stats m in
   Alcotest.(check int) "every distinct query sampled" (Array.length distinct) s.Monitor.samples;
@@ -502,7 +502,7 @@ let test_monitor_engine_golden () =
      through it, the engine's answers for sampled queries become exact. *)
   let tl = Tl_core.Treelattice.of_summary tree summary in
   let adaptive = Tl_core.Adaptive.create ~capacity:64 tl in
-  let m2 = Monitor.create ~sample_rate:1.0 ~oracle:(Monitor.oracle_of_adaptive adaptive) () in
+  let m2 = Monitor.create ~sample_rate:1.0 ~dataset:"test" ~oracle:(Monitor.oracle_of_adaptive adaptive) () in
   ignore (Engine.batch ~monitor:m2 engine distinct);
   let with_feedback = Engine.batch ~extra:(Tl_core.Adaptive.lookup adaptive) engine distinct in
   Array.iteri

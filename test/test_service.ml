@@ -1,6 +1,6 @@
-(* Tests for the serve composition: the /healthz, /audit and /datasets
-   routes, control-line reloads, port files, and an idempotent stop that
-   drains the TCP front-end and writes the audit log. *)
+(* Tests for the serve composition: the /healthz, /audit, /datasets and
+   /metrics routes, control-line reloads, port files, and an idempotent
+   stop that drains the TCP front-end and writes the audit log. *)
 
 module Estimator = Tl_core.Estimator
 module Registry = Tl_serve.Registry
@@ -8,6 +8,7 @@ module Monitor = Tl_serve.Monitor
 module Protocol = Tl_serve.Protocol
 module Service = Tl_serve.Service
 module Exporter = Tl_obs.Exporter
+module Metrics = Tl_obs.Metrics
 
 let contains ~needle hay = Tl_util.Prelude.string_contains ~needle hay
 
@@ -366,6 +367,120 @@ let test_ready_before_port_files () =
     (contains ~needle:"listening on" start_err);
   Alcotest.(check string) "port files still empty" "" (read_file port_file ^ read_file server_port_file)
 
+(* --- /metrics ---------------------------------------------------------------- *)
+
+let http_get port path =
+  let fd = connect port in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  send fd (Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" path);
+  In_channel.input_all (Unix.in_channel_of_descr fd)
+
+(* The value of one exposition line [series value], or [None]. *)
+let sample prom series =
+  List.find_map
+    (fun line ->
+      match String.rindex_opt line ' ' with
+      | Some i when String.sub line 0 i = series ->
+        int_of_string_opt (String.sub line (i + 1) (String.length line - i - 1))
+      | _ -> None)
+    (String.split_on_char '\n' prom)
+
+(* What the endpoint's default /metrics route serves. *)
+let scrape () = Metrics.to_prometheus (Metrics.snapshot ())
+
+let check_sample prom series expected =
+  Alcotest.(check (option int)) series (Some expected) (sample prom series)
+
+(* Each monitor's drift series carry its dataset: raising one dataset's
+   alarm and reloading the other leaves the raised alarm on /metrics, in
+   agreement with /healthz. *)
+let test_drift_series_per_dataset () =
+  with_xml @@ fun xml ->
+  Metrics.reset ();
+  with_service (config ~sample_rate:1.0 [ ("one", xml); ("two", xml) ]) @@ fun svc ->
+  let monitor name = Option.get (Registry.monitor (bundle svc name)) in
+  for _ = 1 to 32 do
+    ignore (Monitor.observe (monitor "one") ~exact:1.0 ~estimate:100.0)
+  done;
+  let (), _ = capture_stderr (fun () -> Service.handle_control svc "reload two") in
+  let prom = scrape () in
+  check_sample prom {|tl_drift_alarm{dataset="one"}|} 1;
+  check_sample prom {|tl_drift_alarm{dataset="two"}|} 0;
+  check_sample prom {|tl_drift_samples{dataset="one"}|} 32;
+  check_sample prom {|tl_drift_alarm_transitions{dataset="one"}|} 1;
+  Alcotest.(check int) "/healthz agrees: drift" 503 (route svc "/healthz").Exporter.status;
+  (* A reload of the alarmed dataset starts its window over, on both
+     surfaces. *)
+  let (), _ = capture_stderr (fun () -> Service.handle_control svc "reload one") in
+  check_sample (scrape ()) {|tl_drift_alarm{dataset="one"}|} 0;
+  Alcotest.(check int) "/healthz agrees: ok" 200 (route svc "/healthz").Exporter.status
+
+(* Four TCP clients over two datasets while another thread scrapes
+   /metrics in a loop: every query lands in the server and per-dataset
+   counters, each epoch gauge reads its bundle's epoch, and a reload
+   control line bumps the reload counter. *)
+let test_metrics_under_load () =
+  with_xml @@ fun xml ->
+  let port_file = temp_file ".port" and server_port_file = temp_file ".port" in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove [ port_file; server_port_file ]) @@ fun () ->
+  Metrics.reset ();
+  with_service (config ~port_file ~listen:0 ~server_port_file [ ("main", xml); ("alt", xml) ])
+  @@ fun svc ->
+  let http = read_port port_file and tcp = read_port server_port_file in
+  let clients = 4 and batches = 25 in
+  let batch = [ "a(b(c))"; "alt:b(c,d)"; "b(c)"; "alt:a(b)" ] in
+  let answered = Atomic.make 0 in
+  let client () =
+    let fd = connect tcp in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    let ic = Unix.in_channel_of_descr fd in
+    for _ = 1 to batches do
+      send fd (String.concat "\n" batch ^ "\n\n");
+      let rec read () =
+        if input_line ic <> "" then begin
+          Atomic.incr answered;
+          read ()
+        end
+      in
+      read ()
+    done
+  in
+  let stop = Atomic.make false and scrapes = Atomic.make 0 and bad = Atomic.make 0 in
+  let scraper () =
+    while not (Atomic.get stop) do
+      let r = http_get http "/metrics" in
+      if not (String.starts_with ~prefix:"HTTP/1.0 200" r && contains ~needle:"tl_server_queries " r)
+      then Atomic.incr bad;
+      Atomic.incr scrapes
+    done
+  in
+  let scraping = Thread.create scraper () in
+  List.iter Thread.join (List.init clients (fun _ -> Thread.create client ()));
+  Atomic.set stop true;
+  Thread.join scraping;
+  let sent = clients * batches * List.length batch in
+  Alcotest.(check int) "every line answered" sent (Atomic.get answered);
+  Alcotest.(check bool) "scraped during the load" true (Atomic.get scrapes > 0);
+  Alcotest.(check int) "every scrape whole" 0 (Atomic.get bad);
+  let prom = http_get http "/metrics" in
+  check_sample prom "tl_server_queries" sent;
+  let main = sample prom {|tl_serve_queries{dataset="main"}|} in
+  let alt = sample prom {|tl_serve_queries{dataset="alt"}|} in
+  Alcotest.(check (option int)) "per-dataset queries sum to the server's" (Some sent)
+    (match (main, alt) with Some m, Some a -> Some (m + a) | _ -> None);
+  Alcotest.(check (option int)) "alt's share" (Some (sent / 2)) alt;
+  List.iter
+    (fun name ->
+      check_sample prom
+        (Printf.sprintf {|tl_registry_epoch{dataset="%s"}|} name)
+        (Registry.epoch (bundle svc name)))
+    [ "main"; "alt" ];
+  let reloads = Option.value ~default:0 (sample prom "tl_registry_reloads_total") in
+  let (), _ = capture_stderr (fun () -> Service.handle_control svc "reload main") in
+  let prom = http_get http "/metrics" in
+  check_sample prom "tl_registry_reloads_total" (reloads + 1);
+  check_sample prom {|tl_registry_epoch{dataset="main"}|} (Registry.epoch (bundle svc "main"))
+
 let () =
   Alcotest.run "service"
     [
@@ -387,5 +502,11 @@ let () =
             test_stop_drains_and_writes_audit;
           Alcotest.test_case "the caller holds the service before any port file" `Quick
             test_ready_before_port_files;
+        ] );
+      ( "metrics",
+        [
+          Alcotest.test_case "drift series are per dataset" `Quick test_drift_series_per_dataset;
+          Alcotest.test_case "/metrics scraped under a four-client load" `Quick
+            test_metrics_under_load;
         ] );
     ]
